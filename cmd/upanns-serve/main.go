@@ -2,16 +2,14 @@
 // the online counterpart of the one-shot upanns-search, and the shard
 // process of a distributed deployment fronted by upanns-router.
 // Concurrent single-query requests are coalesced into micro-batches by
-// the internal/serve scheduler before they reach the simulated PIM
-// system, so the DPU-side batching economics the paper measures (Fig. 16)
-// carry through to an interactive serving path.
+// the internal/serve scheduler before they reach the index, whose base
+// is scanned by the native ADC kernels.
 //
-// In single-host mode the index is deployed through internal/mutable, so
-// the corpus is updatable while serving: POST /upsert and /delete stage
-// writes in the epoch overlay (batched by the serve-side write batcher),
-// and a background compactor republishes the PIM deployment when log,
-// tombstone, or drift pressure crosses its threshold — without pausing
-// reads. Multi-host mode (-hosts > 1) remains read-only.
+// The index is deployed through internal/mutable, so the corpus is
+// updatable while serving: POST /upsert and /delete stage writes in the
+// epoch overlay (batched by the serve-side write batcher), and a
+// background compactor publishes the next epoch when log or tombstone
+// pressure crosses its threshold — without pausing reads.
 //
 // With -tiered, the epoch base is served out of core (internal/tier):
 // cluster payloads live in an on-disk image, a frequency-driven hot set
@@ -72,11 +70,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/filter"
 	"repro/internal/ivfpq"
-	"repro/internal/multihost"
 	"repro/internal/mutable"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -90,16 +86,6 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// attrSchema is the -schema flag parsed once in main; mutableConfig
-// deploys every (single-host) index with it so a state restore and a
-// cold build agree on whether filtering is enabled.
-var attrSchema *filter.Schema
-
-// tierCfg is the -tiered flag family resolved once in main; when set,
-// mutableConfig deploys the epoch base out of core through
-// internal/tier instead of holding posting lists in RAM.
-var tierCfg *mutable.TierConfig
-
 func main() {
 	var (
 		basePath  = flag.String("base", "", "base vectors (.fvecs, e.g. from upanns-datagen); alternative to -synthetic")
@@ -109,8 +95,6 @@ func main() {
 		m         = flag.Int("m", 0, "PQ subquantizers (0 = dataset default / dim/8)")
 		nprobe    = flag.Int("nprobe", 8, "clusters probed per query")
 		k         = flag.Int("k", 10, "neighbors returned")
-		dpus      = flag.Int("dpus", 64, "simulated DPUs (per host)")
-		hosts     = flag.Int("hosts", 1, "hosts; >1 shards the dataset via internal/multihost (read-only)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
@@ -121,7 +105,7 @@ func main() {
 		timeout  = flag.Duration("timeout", time.Second, "per-request deadline")
 		cache    = flag.Int("cache", 4096, "LRU result-cache entries (0 disables)")
 
-		schemaSpec = flag.String("schema", "", `attribute schema enabling filtered search, e.g. "tenant:int,lang:string" (single-host mode); upserts may then carry "attrs" and searches a "filter" predicate`)
+		schemaSpec = flag.String("schema", "", `attribute schema enabling filtered search, e.g. "tenant:int,lang:string"; upserts may then carry "attrs" and searches a "filter" predicate`)
 		maxK       = flag.Int("max-k", 0, "largest per-request k override accepted on /search (0 = -k)")
 
 		traceSample = flag.Int("trace-sample", 1, "head-sample every Nth request into GET /trace/recent (1 = all, 0 disables tracing; incoming traceparent headers override)")
@@ -132,7 +116,7 @@ func main() {
 		sloLatThr  = flag.Duration("slo-latency-threshold", 50*time.Millisecond, "latency SLI boundary for the latency objective")
 		costTopK   = flag.Int("cost-top", 32, "per-query cost heat-ring size served at GET /debug/costly (0 disables cost accounting)")
 
-		qualitySample = flag.Int("quality-sample", 0, "shadow-oracle sampling: re-execute every Nth answered query exactly and serve recall estimates at GET /quality (0 disables; single-host mode)")
+		qualitySample = flag.Int("quality-sample", 0, "shadow-oracle sampling: re-execute every Nth answered query exactly and serve recall estimates at GET /quality (0 disables)")
 		qualityRecall = flag.Float64("quality-recall-target", 0.9, "per-sample recall@k below which a shadow comparison burns quality SLO budget")
 		qualityDrift  = flag.Float64("quality-drift-threshold", 0.5, "KL-divergence excess over the rolling baseline at which the drift detector pages")
 
@@ -140,41 +124,34 @@ func main() {
 		writeLinger   = flag.Duration("write-linger", time.Millisecond, "max wait to fill a write batch")
 		compactEvery  = flag.Duration("compact-interval", 25*time.Millisecond, "compaction pressure poll period (0 disables the background compactor)")
 		drainDeadline = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight HTTP requests")
-		statePath     = flag.String("state", "", "durable index state: loaded at startup when present, written on graceful shutdown (single-host mode)")
+		statePath     = flag.String("state", "", "durable index state: loaded at startup when present, written on graceful shutdown")
 
-		tiered        = flag.Bool("tiered", false, "serve the epoch base out of core: cluster payloads live in an image file and stream through a hot-set/prefetch cluster store (single-host mode)")
+		tiered        = flag.Bool("tiered", false, "serve the epoch base out of core: cluster payloads live in an image file and stream through a hot-set/prefetch cluster store")
 		tierDir       = flag.String("tier-dir", "", "directory for epoch image files (default: system temp dir)")
 		tierHotMB     = flag.Int("tier-hot-mb", 64, "hot-set byte budget in MiB pinned in RAM by the tiered store")
 		tierPrefetch  = flag.Int("tier-prefetch", 2, "tiered prefetch workers warming probed clusters (0 disables prefetch)")
 		tierRebalance = flag.Duration("tier-rebalance", time.Second, "hot-set rebalance period under observed probe frequencies (0 disables)")
 	)
 	flag.Parse()
-	if *statePath != "" && *hosts > 1 {
-		// Refuse rather than silently serve without the durability the
-		// operator asked for: only single-host (mutable) mode persists.
-		fail(fmt.Errorf("-state requires single-host mode (-hosts 1); multi-host sharding is read-only"))
-	}
-	var schema *filter.Schema
+	// One deployment config for a state restore and a cold build alike:
+	// the shared streaming policy (mutable.ServingConfig: nprobe and the
+	// K slack; its DPU count only shapes the benchmark's paper-model
+	// replay) plus this server's compactor period, schema and tiering.
+	mcfg := mutable.ServingConfig(*nprobe, *k, 0, *seed)
+	mcfg.CheckInterval = *compactEvery
 	if *schemaSpec != "" {
-		if *hosts > 1 {
-			fail(fmt.Errorf("-schema requires single-host mode (-hosts 1); the filter executor lives in the mutable deployment"))
-		}
 		var err error
-		if schema, err = filter.ParseSchema(*schemaSpec); err != nil {
+		if mcfg.Schema, err = filter.ParseSchema(*schemaSpec); err != nil {
 			fail(err)
 		}
 	}
-	attrSchema = schema
 	if *tiered {
-		if *hosts > 1 {
-			fail(fmt.Errorf("-tiered requires single-host mode (-hosts 1); the tiered store lives in the mutable deployment"))
-		}
 		if *statePath != "" {
 			// The epoch base already lives in the image file; WriteTo-style
 			// state snapshots are redundant with it and unsupported.
 			fail(fmt.Errorf("-tiered is incompatible with -state: tiered deployments keep the base in the epoch image file"))
 		}
-		tierCfg = &mutable.TierConfig{
+		mcfg.Tier = &mutable.TierConfig{
 			Dir: *tierDir,
 			Store: tier.Config{
 				ShardID:         *shardID,
@@ -190,23 +167,16 @@ func main() {
 		costs = obs.NewCostTracker(*costTopK)
 	}
 
-	var backend serve.Backend
 	var updatable *mutable.UpdatableIndex
-	if *statePath != "" && *hosts == 1 {
-		if u, ok := loadState(*statePath, *nprobe, *k, *dpus, *seed, *compactEvery); ok {
-			backend, updatable = u, u
-		}
+	if *statePath != "" {
+		updatable = loadState(*statePath, mcfg)
 	}
-	var base *vecmath.Matrix
-	if backend == nil {
-		var mm int
-		var err error
-		base, mm, err = loadBase(*basePath, *synthetic, *n, *m, *seed)
+	if updatable == nil {
+		base, mm, err := loadBase(*basePath, *synthetic, *n, *m, *seed)
 		if err != nil {
 			fail(err)
 		}
-		backend, updatable, err = buildBackend(base, mm, *nlist, *nprobe, *k, *dpus, *hosts, *seed, *compactEvery)
-		if err != nil {
+		if updatable, err = buildIndex(base, mm, *nlist, *nprobe, *seed, mcfg); err != nil {
 			fail(err)
 		}
 	}
@@ -228,9 +198,6 @@ func main() {
 	}
 	var quality *obs.Quality
 	if *qualitySample > 0 {
-		if updatable == nil {
-			fail(fmt.Errorf("-quality-sample requires single-host mode (-hosts 1); the shadow oracle lives in the mutable deployment"))
-		}
 		quality = obs.NewQuality(obs.QualityConfig{
 			ShardID:        *shardID,
 			SampleEvery:    *qualitySample,
@@ -249,36 +216,33 @@ func main() {
 		CacheSize:      *cache,
 		Costs:          costs,
 		Quality:        quality,
-	}, backend)
+	}, updatable)
 	if err != nil {
 		fail(err)
 	}
 
-	var writer *serve.WriteBatcher
-	if updatable != nil {
-		writer = serve.NewWriteBatcher(serve.WriteConfig{
-			MaxBatch:       *writeBatch,
-			MaxLinger:      *writeLinger,
-			DefaultTimeout: *timeout,
-			// Writes change answers; drop cached results before the
-			// writers are acknowledged so reads never see stale hits.
-			OnApplied: srv.InvalidateCache,
-		}, updatable)
-	}
+	writer := serve.NewWriteBatcher(serve.WriteConfig{
+		MaxBatch:       *writeBatch,
+		MaxLinger:      *writeLinger,
+		DefaultTimeout: *timeout,
+		// Writes change answers; drop cached results before the
+		// writers are acknowledged so reads never see stale hits.
+		OnApplied: srv.InvalidateCache,
+	}, updatable)
 
-	hcfg := serve.HandlerConfig{ShardID: *shardID, Writer: writer, Costs: costs, SLO: slo, Quality: quality}
+	hcfg := serve.HandlerConfig{
+		ShardID: *shardID, Writer: writer, Costs: costs, SLO: slo, Quality: quality,
+		IndexStats: func() any { return updatable.Stats() },
+		Metrics:    updatable.WriteMetrics,
+	}
 	if *traceSample > 0 {
 		hcfg.Tracer = obs.NewTracer(obs.TracerConfig{
 			SampleEvery:   *traceSample,
 			SlowThreshold: *traceSlow,
 		})
 	}
-	if updatable != nil {
-		hcfg.IndexStats = func() any { return updatable.Stats() }
-		hcfg.Metrics = updatable.WriteMetrics
-		if schema != nil {
-			hcfg.FilterStats = updatable.FilterStats
-		}
+	if mcfg.Schema != nil {
+		hcfg.FilterStats = updatable.FilterStats
 	}
 	handler := serve.NewHandler(srv, hcfg)
 
@@ -306,25 +270,19 @@ func main() {
 		hs.Shutdown(shutdownCtx) //nolint:errcheck // drain is best-effort under its deadline
 	}()
 
-	mode := "read-only"
-	nvec := int64(0)
-	if updatable != nil {
-		mode = "mutable (upsert/delete enabled)"
-		if schema != nil {
-			mode = "mutable + filtered (schema " + schema.Spec() + ")"
-		}
-		if tierCfg != nil {
-			mode += fmt.Sprintf(" + tiered (hot budget %d MiB)", tierCfg.Store.HotBytes>>20)
-		}
-		nvec = updatable.Stats().BaseVectors
-	} else if base != nil {
-		nvec = int64(base.Rows)
+	mode := "mutable (upsert/delete enabled)"
+	if mcfg.Schema != nil {
+		mode = "mutable + filtered (schema " + mcfg.Schema.Spec() + ")"
+	}
+	if mcfg.Tier != nil {
+		mode += fmt.Sprintf(" + tiered (hot budget %d MiB)", mcfg.Tier.Store.HotBytes>>20)
 	}
 	tag := ""
 	if *shardID != "" {
 		tag = fmt.Sprintf(" [shard %s]", *shardID)
 	}
-	log.Printf("serving %d vectors (dim %d) on %s [%s]%s: POST /search /upsert /delete, GET /stats", nvec, backend.Dim(), *addr, mode, tag)
+	log.Printf("serving %d vectors (dim %d) on %s [%s]%s: POST /search /upsert /delete, GET /stats",
+		updatable.Stats().BaseVectors, updatable.Dim(), *addr, mode, tag)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fail(err)
 	}
@@ -334,46 +292,42 @@ func main() {
 	// compaction finishes before exit.
 	<-drained
 	srv.Close()
-	if writer != nil {
-		writer.Close()
-	}
+	writer.Close()
 	// The quality plane closes before the index: its shadow worker
 	// executes against the deployment it samples.
 	quality.Close()
-	if updatable != nil {
-		updatable.Close()
-		log.Printf("final index state: epoch %d, %d compactions, %d pending log entries",
-			updatable.Stats().Epoch, updatable.Stats().Compactions, updatable.Stats().PendingLog)
-		if *statePath != "" {
-			if err := saveState(*statePath, updatable); err != nil {
-				log.Printf("persisting state: %v", err)
-			} else {
-				log.Printf("state persisted to %s (pending writes survive the restart)", *statePath)
-			}
+	updatable.Close()
+	log.Printf("final index state: epoch %d, %d compactions, %d pending log entries",
+		updatable.Stats().Epoch, updatable.Stats().Compactions, updatable.Stats().PendingLog)
+	if *statePath != "" {
+		if err := saveState(*statePath, updatable); err != nil {
+			log.Printf("persisting state: %v", err)
+		} else {
+			log.Printf("state persisted to %s (pending writes survive the restart)", *statePath)
 		}
 	}
 	log.Printf("final stats: %s", srv.Stats().Latency)
 }
 
-// loadState restores a persisted updatable index, reporting whether one
-// was loaded (a missing file just means a cold start).
-func loadState(path string, nprobe, k, dpus int, seed uint64, compactEvery time.Duration) (*mutable.UpdatableIndex, bool) {
+// loadState restores a persisted updatable index; nil when the file is
+// missing (a cold start).
+func loadState(path string, mcfg mutable.Config) *mutable.UpdatableIndex {
 	f, err := os.Open(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			fail(err)
 		}
-		return nil, false
+		return nil
 	}
 	defer f.Close()
-	u, err := mutable.Read(f, mutableConfig(nprobe, k, dpus, seed, compactEvery))
+	u, err := mutable.Read(f, mcfg)
 	if err != nil {
 		fail(fmt.Errorf("loading state from %s: %w", path, err))
 	}
 	st := u.Stats()
 	log.Printf("restored state from %s: epoch %d, %d base vectors, %d pending log entries, %d tombstones",
 		path, st.Epoch, st.BaseVectors, st.PendingLog, st.Tombstones)
-	return u, true
+	return u
 }
 
 // saveState atomically persists the updatable index next to path.
@@ -393,17 +347,6 @@ func saveState(path string, u *mutable.UpdatableIndex) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// mutableConfig is the single-host deployment config: the shared
-// streaming policy (mutable.ServingConfig: K slack, CAE off, one DIMM)
-// plus this server's compactor poll period.
-func mutableConfig(nprobe, k, dpus int, seed uint64, compactEvery time.Duration) mutable.Config {
-	mcfg := mutable.ServingConfig(nprobe, k, dpus, seed)
-	mcfg.CheckInterval = compactEvery
-	mcfg.Schema = attrSchema
-	mcfg.Tier = tierCfg
-	return mcfg
 }
 
 // loadBase reads or generates the base vectors and resolves M.
@@ -447,41 +390,16 @@ func loadBase(basePath, synthetic string, n, m int, seed uint64) (*vecmath.Matri
 	}
 }
 
-// buildBackend trains and deploys the index. Single-host deployments go
-// through internal/mutable (updatable, epoch-compacted); multi-host
-// sharding stays read-only.
-func buildBackend(base *vecmath.Matrix, m, nlist, nprobe, k, dpus, hosts int, seed uint64, compactEvery time.Duration) (serve.Backend, *mutable.UpdatableIndex, error) {
-	ecfg := core.DefaultConfig()
-	ecfg.NProbe = nprobe
-	ecfg.K = k
-	ecfg.Seed = seed
-
-	if hosts > 1 {
-		log.Printf("deploying on %d hosts x %d DPUs (read-only)...", hosts, dpus)
-		cl, err := multihost.Build(base, nil, multihost.Config{
-			Hosts:       hosts,
-			DPUsPerHost: dpus,
-			Index:       ivfpq.Params{NList: nlist, M: m, Seed: seed, TrainSub: 16384},
-			Engine:      ecfg,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return serve.NewClusterBackend(cl, k), nil, nil
-	}
-
+// buildIndex trains the index and deploys it through internal/mutable
+// (updatable, epoch-compacted).
+func buildIndex(base *vecmath.Matrix, m, nlist, nprobe int, seed uint64, mcfg mutable.Config) (*mutable.UpdatableIndex, error) {
 	log.Printf("training IVFPQ: IVF %d, M %d", nlist, m)
 	ix := ivfpq.Train(base, ivfpq.Params{NList: nlist, M: m, Seed: seed, TrainSub: 16384})
 	ix.Add(base, 0)
-	// Bootstrap placement frequencies from a self-sample of the base set;
-	// a production deployment would feed a historical query log.
+	// Bootstrap the tiered hot set's frequencies from a self-sample of
+	// the base set; a production deployment would feed a historical
+	// query log.
 	sample := vecmath.WrapMatrix(base.Data[:min(512, base.Rows)*base.Dim], min(512, base.Rows), base.Dim)
 	freqs := workload.ClusterFrequencies(ix.Coarse, sample, nprobe)
-
-	log.Printf("deploying updatable index on %d simulated DPUs...", dpus)
-	u, err := mutable.New(ix, freqs, mutableConfig(nprobe, k, dpus, seed, compactEvery))
-	if err != nil {
-		return nil, nil, err
-	}
-	return u, u, nil
+	return mutable.New(ix, freqs, mcfg)
 }

@@ -25,8 +25,8 @@
 //
 //   - mutability: internal/mutable — online insert/delete staged in an
 //     LSM-style overlay, epoch-snapshot serving with RCU-style
-//     publication, background compaction re-placing and redeploying the
-//     index under log/tombstone/drift pressure, durable state;
+//     publication, one read path on the native ADC kernels, background
+//     compaction under log/tombstone pressure, durable state;
 //
 //   - tiering: internal/tier — out-of-core cluster storage for the
 //     epoch base: an on-disk cluster image (ivfpq.WriteImage/OpenImage),

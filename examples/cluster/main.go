@@ -1,9 +1,8 @@
 // Distributed serving walkthrough: a scatter-gather router over three
 // live shards, all in one process. The corpus is hash-partitioned across
 // the shards by the same stable ID hash the router routes writes with;
-// each shard is a full mutable UpANNS deployment (own trained index, own
-// simulated PIM system) behind the real shard HTTP surface on a loopback
-// listener. Six phases demonstrate the cluster mechanics end to end:
+// each shard is a full mutable UpANNS deployment (own trained index)
+// behind the real shard HTTP surface on a loopback listener. Six phases demonstrate the cluster mechanics end to end:
 //
 //  1. recall parity — queries fanned out to 3 shards and merged in the
 //     float domain answer within 1% of a single-host deployment of the
@@ -61,11 +60,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ivfpq"
 	"repro/internal/obs"
-	"repro/internal/pim"
 	"repro/internal/serve"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
@@ -79,7 +76,6 @@ func main() {
 		nlist   = flag.Int("ivf", 32, "IVF clusters (per shard and single-host)")
 		nprobe  = flag.Int("nprobe", 8, "clusters probed per query")
 		k       = flag.Int("k", 10, "neighbors per query")
-		dpus    = flag.Int("dpus", 16, "simulated DPUs per shard")
 		seed    = flag.Uint64("seed", 42, "random seed")
 	)
 	flag.Parse()
@@ -91,18 +87,19 @@ func main() {
 	truth := dataset.GroundTruth(ds.Vectors, qs, *k)
 
 	// ---- Single-host baseline ----
-	single := buildSingleHost(ds.Vectors, *nlist, *nprobe, *k, *dpus, *seed)
-	br, err := single.SearchBatch(qs)
-	if err != nil {
-		log.Fatal(err)
+	single := ivfpq.Train(ds.Vectors, ivfpq.Params{NList: *nlist, M: dataset.SIFT1B.M, Seed: *seed, TrainSub: 8192})
+	single.Add(ds.Vectors, 0)
+	singleRes := make([][]topk.Candidate, qs.Rows)
+	for qi := range singleRes {
+		singleRes[qi], _ = single.Search(qs.Row(qi), ivfpq.SearchOpts{NProbe: *nprobe, K: *k, Quantized: true})
 	}
-	recallSingle := dataset.Recall(truncateAll(br.Results, *k), truth)
+	recallSingle := dataset.Recall(singleRes, truth)
 	fmt.Printf("single-host recall@%d: %.4f\n\n", *k, recallSingle)
 
 	// ---- Boot the shard fleet and the router ----
 	fmt.Printf("booting %d shards (hash-partitioned, mutable, HTTP on loopback)...\n", *shards)
 	fleet, err := cluster.StartLocalShards(ds.Vectors, cluster.LocalOptions{
-		Shards: *shards, NList: *nlist, NProbe: *nprobe, K: *k, DPUs: *dpus, Seed: *seed,
+		Shards: *shards, NList: *nlist, NProbe: *nprobe, K: *k, Seed: *seed,
 		Trace: true, Obs: true,
 		// One in 8 answered queries is re-run against the exact oracle;
 		// phase 6 reads the resulting /quality rollup through a kill drill.
@@ -418,24 +415,6 @@ func main() {
 	fmt.Println("\nthe cluster kept serving through a shard loss: recall degraded, availability did not.")
 }
 
-// buildSingleHost deploys one engine over the whole corpus.
-func buildSingleHost(base *vecmath.Matrix, nlist, nprobe, k, dpus int, seed uint64) *core.Engine {
-	ix := ivfpq.Train(base, ivfpq.Params{NList: nlist, M: dataset.SIFT1B.M, Seed: seed, TrainSub: 8192})
-	ix.Add(base, 0)
-	spec := pim.DefaultSpec()
-	spec.NumDIMMs = 1
-	spec.DPUsPerDIMM = dpus
-	cfg := core.DefaultConfig()
-	cfg.NProbe = nprobe
-	cfg.K = k
-	cfg.Seed = seed
-	eng, err := core.Build(ix, pim.NewSystem(spec), nil, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return eng
-}
-
 // cleanSearchAll is searchAll retried (up to 3 passes) until a pass has
 // zero errors and zero new degraded fanouts: recall parity must be
 // measured on fanouts that reached every shard, and ambient machine load
@@ -616,14 +595,4 @@ func matrixHead(m *vecmath.Matrix, n int) *vecmath.Matrix {
 		n = m.Rows
 	}
 	return vecmath.WrapMatrix(m.Data[:n*m.Dim], n, m.Dim)
-}
-
-// truncateAll trims each result list to k.
-func truncateAll(res [][]topk.Candidate, k int) [][]topk.Candidate {
-	for i, r := range res {
-		if len(r) > k {
-			res[i] = r[:k]
-		}
-	}
-	return res
 }

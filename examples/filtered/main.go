@@ -81,7 +81,6 @@ func main() {
 		nlist   = flag.Int("ivf", 32, "IVF clusters per shard")
 		nprobe  = flag.Int("nprobe", 8, "clusters probed per query")
 		k       = flag.Int("k", 10, "neighbors per query")
-		dpus    = flag.Int("dpus", 16, "simulated DPUs per shard")
 		seed    = flag.Uint64("seed", 42, "random seed")
 	)
 	flag.Parse()
@@ -103,7 +102,7 @@ func main() {
 	// ---- Boot tagged shards, the router, and the router's HTTP front ----
 	fmt.Printf("booting %d shards (hash-partitioned, tagged, mutable)...\n", *shards)
 	fleet, err := cluster.StartLocalShards(ds.Vectors, cluster.LocalOptions{
-		Shards: *shards, NList: *nlist, NProbe: *nprobe, K: *k, DPUs: *dpus, Seed: *seed,
+		Shards: *shards, NList: *nlist, NProbe: *nprobe, K: *k, Seed: *seed,
 		Schema: schema, AttrsFor: attrsOf,
 	})
 	if err != nil {

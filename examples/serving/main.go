@@ -28,6 +28,7 @@ import (
 	"repro/internal/ivfpq"
 	"repro/internal/pim"
 	"repro/internal/serve"
+	"repro/internal/topk"
 	"repro/internal/vecmath"
 	"repro/internal/workload"
 )
@@ -59,7 +60,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	backend := serve.NewEngineBackend(engine)
+	backend := &serve.FuncBackend{D: ix.Dim, Fn: func(q *vecmath.Matrix, _ int) ([][]topk.Candidate, error) {
+		br, err := engine.SearchBatch(q) // built at topK, the served k
+		if err != nil {
+			return nil, err
+		}
+		return br.Results, nil
+	}}
 
 	// Calibrate: one big batch measures the engine's batched wall-clock
 	// capacity on this machine, so the open-loop rates below mean the same

@@ -25,11 +25,8 @@ import (
 //     communication" — the merge must not cost accuracy);
 //
 //   - tail latency vs shard count: closed-loop client p50/p99 through
-//     the router at 1, 2, and 3 shards, with the per-shard DPU count set
-//     to floor(total/shards) — approximately a constant total budget;
-//     the floor under-provisions non-divisible shard counts slightly
-//     (e.g. 3x2=6 of 8 DPUs), so the curve is read as a shape, not an
-//     exact iso-hardware comparison;
+//     the router at 1, 2, and 3 shards on one host (the shards share
+//     its cores, so the curve is read as a shape, not a scaling claim);
 //
 //   - shard-loss behavior: with one shard killed mid-run, every query
 //     keeps answering (zero client-visible errors), recall degrades by
@@ -136,13 +133,9 @@ func (c *Context) ClusterRun() (*ClusterArtifact, error) {
 	art.RecallSingle = dataset.Recall(clampK(br.Results, k), truth)
 
 	for _, shardCount := range []int{1, 2, 3} {
-		perShardDPUs := c.O.DPUs / shardCount
-		if perShardDPUs < 1 {
-			perShardDPUs = 1
-		}
 		fleet, err := cluster.StartLocalShards(s.ds.Vectors, cluster.LocalOptions{
 			Shards: shardCount, NList: c.O.IVFGrid[0], KSub: c.O.KSub, TrainSub: c.O.TrainSub,
-			NProbe: nprobe, K: k, DPUs: perShardDPUs, Seed: c.O.Seed,
+			NProbe: nprobe, K: k, Seed: c.O.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: booting %d shards: %w", shardCount, err)

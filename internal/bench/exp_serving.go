@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/topk"
 	"repro/internal/vecmath"
 	"repro/internal/workload"
 )
@@ -457,7 +458,13 @@ func (c *Context) runServingPolicy(e *core.Engine, pool *vecmath.Matrix, p Servi
 		DefaultTimeout: 60 * time.Second,
 		CacheSize:      p.CacheSize,
 		Costs:          o.costs,
-	}, serve.NewEngineBackend(e))
+	}, &serve.FuncBackend{D: e.Index.Dim, Fn: func(q *vecmath.Matrix, _ int) ([][]topk.Candidate, error) {
+		br, err := e.SearchBatch(q) // the engine is built at the served K
+		if err != nil {
+			return nil, err
+		}
+		return br.Results, nil
+	}})
 	if err != nil {
 		return ServingPoint{}, err
 	}

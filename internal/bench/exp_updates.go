@@ -184,10 +184,11 @@ func (c *Context) UpdatesRun() (*UpdatesArtifact, error) {
 	nprobe := c.O.NProbeGrid[len(c.O.NProbeGrid)-1]
 	k := c.O.K
 
-	// The shared streaming-deployment policy (K slack, CAE off, one
-	// DIMM) — the same config cmd/upanns-serve deploys, so the benchmark
-	// measures the deployment the server runs. The compactor polls fast
-	// so tiny-scale churn still triggers epochs mid-phase.
+	// The shared streaming-deployment policy (nprobe, K slack) — the
+	// same config cmd/upanns-serve deploys, so the benchmark measures the
+	// deployment the server runs; its Engine also configures the
+	// fresh-rebuild reference engines below. The compactor polls fast so
+	// tiny-scale churn still triggers epochs mid-phase.
 	mcfg := mutable.ServingConfig(nprobe, k, c.O.DPUs, c.O.Seed)
 	mcfg.CheckInterval = 2 * time.Millisecond
 	ecfg := mcfg.Engine
@@ -298,7 +299,13 @@ func (c *Context) runUpdatesPhase(u *mutable.UpdatableIndex, s *setup, stream *w
 					fail(err)
 					return
 				}
-				lat.Observe(time.Since(t0).Seconds())
+				d := time.Since(t0)
+				lat.Observe(d.Seconds())
+				// Think for 3x the read: the four readers together offer one
+				// core of scan work, so on a small host the tail shows the
+				// index's locks and compactions, not the Go scheduler
+				// time-slicing readers that never yield.
+				time.Sleep(3 * d)
 				reads.Add(1)
 			}
 		}(r)

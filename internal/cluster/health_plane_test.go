@@ -31,7 +31,7 @@ func TestKillDrillHealthPlane(t *testing.T) {
 		base.Data[i] = float32(r8.NormFloat64())
 	}
 	shards, err := StartLocalShards(base, LocalOptions{
-		Shards: 2, NList: 8, NProbe: 4, K: 5, DPUs: 2, Seed: 3,
+		Shards: 2, NList: 8, NProbe: 4, K: 5, Seed: 3,
 		Obs: true,
 	})
 	if err != nil {

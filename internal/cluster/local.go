@@ -30,14 +30,13 @@ type LocalOptions struct {
 	TrainSub int    // per-shard training subsample (default 8192)
 	NProbe   int    // clusters probed per query (default 8)
 	K        int    // neighbors served per shard query (default 10)
-	DPUs     int    // simulated DPUs per shard (default 16)
 	Seed     uint64 // base seed; each shard derives its own
 	// CacheSize is each shard's LRU result cache (default 0, disabled:
-	// recall experiments must hit the engine, and the router's hedge
-	// histograms should see engine latency, not cache hits).
+	// recall experiments must hit the index, and the router's hedge
+	// histograms should see scan latency, not cache hits).
 	CacheSize int
 	// RequestTimeout is each shard's per-request serving deadline
-	// (default 30s — far above the engine's real latency, so a loaded CI
+	// (default 30s — far above a real search's latency, so a loaded CI
 	// machine cannot turn a slow batch into a 504 and silently degrade a
 	// recall measurement).
 	RequestTimeout time.Duration
@@ -98,9 +97,6 @@ func (o LocalOptions) withDefaults(dim int) LocalOptions {
 	}
 	if o.K <= 0 {
 		o.K = 10
-	}
-	if o.DPUs <= 0 {
-		o.DPUs = 16
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -222,7 +218,7 @@ func StartLocalShards(base *vecmath.Matrix, o LocalOptions) ([]*LocalShard, erro
 		})
 		ix.AddWithIDs(part, partIDs[sh])
 
-		mcfg := mutable.ServingConfig(o.NProbe, o.K, o.DPUs, o.Seed+uint64(sh)*2027)
+		mcfg := mutable.ServingConfig(o.NProbe, o.K, 0, o.Seed+uint64(sh)*2027)
 		mcfg.Schema = o.Schema
 		u, err := mutable.New(ix, nil, mcfg)
 		if err != nil {

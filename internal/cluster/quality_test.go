@@ -28,7 +28,7 @@ func TestFleetQualityEndToEnd(t *testing.T) {
 		base.Data[i] = float32(rng.NormFloat64())
 	}
 	shards, err := StartLocalShards(base, LocalOptions{
-		Shards: 2, NList: 8, NProbe: 8, K: 5, DPUs: 2, Seed: 3,
+		Shards: 2, NList: 8, NProbe: 8, K: 5, Seed: 3,
 		Obs: true, QualitySample: 1,
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestFleetQualityDisabled(t *testing.T) {
 	for i := range base.Data {
 		base.Data[i] = float32(rng.NormFloat64())
 	}
-	shards, err := StartLocalShards(base, LocalOptions{Shards: 2, NList: 8, NProbe: 4, K: 5, DPUs: 2, Seed: 3})
+	shards, err := StartLocalShards(base, LocalOptions{Shards: 2, NList: 8, NProbe: 4, K: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pim"
 )
 
 // This file implements epoch compaction: folding the write overlay into a
-// fresh immutable index, re-running placement under observed access
-// frequencies, deploying a new core.Engine on a fresh pim.System, and
-// publishing the result as the next epoch. The expensive work (fold +
-// deploy) runs without any lock; only the capture at the start and the
+// fresh immutable index and publishing it as the next epoch (a tiered
+// epoch is first written to its own image file behind a fresh tier
+// store). The expensive work (fold + deploy) runs without any lock; only the capture at the start and the
 // publication at the end take the overlay lock, so readers and writers
 // proceed against the old epoch for the whole rebuild.
 
@@ -38,7 +35,6 @@ func (u *UpdatableIndex) capture(force bool) *foldCapture {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	snap := u.snap.Load()
-	freqs, nProbes := u.observedFreqs(snap)
 
 	trigger := ""
 	baseN := float64(snap.baseN)
@@ -52,8 +48,6 @@ func (u *UpdatableIndex) capture(force bool) *foldCapture {
 		trigger = "log-ratio"
 	case float64(len(u.tombs))/baseN >= u.cfg.MaxTombRatio:
 		trigger = "tombstone-ratio"
-	case nProbes >= u.cfg.MinDriftProbes && core.FreqDrift(snap.freqs, freqs) >= u.cfg.DriftThreshold:
-		trigger = "drift"
 	}
 	if trigger == "" {
 		return nil
@@ -66,7 +60,7 @@ func (u *UpdatableIndex) capture(force bool) *foldCapture {
 		logs:    make([]clusterLog, u.nlist),
 		tombs:   make(map[int64]uint64, len(u.tombs)),
 		latest:  make(map[int64]entryRef, len(u.latest)),
-		freqs:   freqs,
+		freqs:   u.observedFreqs(snap),
 		trigger: trigger,
 	}
 	for i := range u.logs {
@@ -91,12 +85,12 @@ func (u *UpdatableIndex) capture(force bool) *foldCapture {
 	return c
 }
 
-// observedFreqs converts the probe counters into placement frequencies
+// observedFreqs converts the probe counters into access frequencies
 // normalized to mean 1 with a small floor (mirroring
-// workload.ClusterFrequencies). With too few probes to be meaningful it
-// returns the epoch's own frequencies, leaving placement unchanged.
-// Caller holds at least mu.RLock.
-func (u *UpdatableIndex) observedFreqs(snap *snapshot) ([]float64, int) {
+// workload.ClusterFrequencies) — the seed of the next tiered epoch's hot
+// set. With too few probes to be meaningful (under 8 per cluster) the
+// epoch keeps its own frequencies. Caller holds at least mu.RLock.
+func (u *UpdatableIndex) observedFreqs(snap *snapshot) []float64 {
 	total := uint64(0)
 	counts := make([]float64, u.nlist)
 	for i := range u.acc {
@@ -104,8 +98,8 @@ func (u *UpdatableIndex) observedFreqs(snap *snapshot) ([]float64, int) {
 		counts[i] = float64(v)
 		total += v
 	}
-	if total < uint64(u.cfg.MinDriftProbes) {
-		return append([]float64(nil), snap.freqs...), int(total)
+	if total < uint64(8*u.nlist) {
+		return snap.freqs
 	}
 	mean := float64(total) / float64(u.nlist)
 	for i := range counts {
@@ -114,7 +108,7 @@ func (u *UpdatableIndex) observedFreqs(snap *snapshot) ([]float64, int) {
 			counts[i] = 0.01
 		}
 	}
-	return counts, int(total)
+	return counts
 }
 
 // Compact folds the overlay into the next epoch if a pressure threshold
@@ -136,8 +130,8 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 
 	// ---- Fold (no locks): base entries that survived, then the live log
 	// versions, cluster by cluster. A tiered base streams from the pinned
-	// epoch's image in bounded chunks; an engine base reads its in-RAM
-	// lists directly. ----
+	// epoch's image in bounded chunks; an in-RAM base reads its lists
+	// directly. ----
 	m := fc.snap.ix.PQ.M
 	newIx := fc.snap.ix.CloneStructure()
 	folded := uint64(0)
@@ -188,31 +182,22 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 		}
 	}
 
-	// ---- Deploy the next epoch on a fresh system — or, tiered, on a
-	// fresh image file and tier store (no locks; the old epoch keeps
-	// serving). ----
+	// ---- Deploy the next epoch: an in-RAM epoch is just its folded
+	// index; a tiered one gets a fresh image file and tier store (no
+	// locks; the old epoch keeps serving). ----
 	var next *snapshot
 	if u.cfg.Tier != nil {
-		tnext, err := deployTiered(newIx, fc.freqs, fc.snap.epoch+1, u.cfg.Tier)
-		if err != nil {
+		var err error
+		if next, err = deployTiered(newIx, fc.freqs, fc.snap.epoch+1, u.cfg.Tier); err != nil {
 			u.compactErrs.Add(1)
 			obs.Flight.Record("compaction_error",
 				obs.Int("epoch", int64(fc.snap.epoch+1)), obs.Str("stage", "deploy"), obs.Str("err", err.Error()))
 			return false, err
 		}
-		next = tnext
 	} else {
-		eng, err := core.Build(newIx, pim.NewSystem(u.cfg.Spec), fc.freqs, u.cfg.Engine)
-		if err != nil {
-			u.compactErrs.Add(1)
-			obs.Flight.Record("compaction_error",
-				obs.Int("epoch", int64(fc.snap.epoch+1)), obs.Str("stage", "deploy"), obs.Str("err", err.Error()))
-			return false, fmt.Errorf("mutable: deploying epoch %d: %w", fc.snap.epoch+1, err)
-		}
 		next = &snapshot{
 			epoch: fc.snap.epoch + 1,
 			ix:    newIx,
-			eng:   eng,
 			freqs: fc.freqs,
 			baseN: newIx.NTotal,
 			occ:   clusterOccupancy(newIx),
@@ -258,6 +243,7 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 			delete(u.tombs, id) // applied physically in this fold
 		}
 	}
+	u.shadow = pendingShadow(u.latest, u.tombs)
 	for i := range u.acc {
 		u.acc[i].Store(0)
 	}
@@ -292,6 +278,21 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 		obs.Int("remaining_log", int64(remaining)),
 		obs.Str("trigger", fc.trigger))
 	return true, nil
+}
+
+// pendingShadow builds an epoch's initial shadow map from the overlay left
+// pending over it: every id with a log version or a tombstone. Reads of
+// the epoch are cut after all of these writes, so which of an id's
+// sequence numbers it records is immaterial.
+func pendingShadow(latest map[int64]entryRef, tombs map[int64]uint64) map[int64]uint64 {
+	shadow := make(map[int64]uint64, len(latest)+len(tombs))
+	for id, ref := range latest {
+		shadow[id] = ref.seq
+	}
+	for id, s := range tombs {
+		shadow[id] = s
+	}
+	return shadow
 }
 
 // compactor is the background loop: every CheckInterval it lets Compact

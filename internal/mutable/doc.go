@@ -4,7 +4,7 @@
 //
 // The paper evaluates a static, offline-built index; real corpora churn.
 // This package layers an LSM-style write overlay over the shared IVFPQ
-// index and republishes the PIM deployment in epochs:
+// index and republishes the base in epochs:
 //
 //   - Writes land in a small mutable overlay: inserts are PQ-encoded with
 //     the trained quantizers into per-cluster append logs; deletes are
@@ -12,36 +12,32 @@
 //     increasing sequence number, so "latest version wins" is decided by
 //     comparing sequence numbers, never by mutating published data.
 //
-//   - Reads search the current epoch snapshot — an immutable IVFPQ index
-//     deployed on its own pim.System via core.Build — then merge in the
-//     overlay: log entries in the probed clusters are scanned with the
-//     same quantized-LUT arithmetic the DPU kernels use, tombstones
-//     filter dead ids, and newer log versions shadow their base copies.
-//     Inserts and deletes are therefore visible immediately, not at the
-//     next compaction.
+//   - Every read — plain, tiered, filtered, shadow-oracle — runs one
+//     sequence: coarse probe, one consistent (epoch, overlay) cut under
+//     the overlay read lock, a lock-free scan of the captured epoch's
+//     base by the native ADC kernels (ivfpq.Index.Search, or
+//     tier.Index.Search out of core), merge. Overlay entries are scored
+//     with the same fixed-scale quantized-LUT arithmetic, tombstones
+//     filter dead ids, and newer log versions shadow their base copies,
+//     so inserts and deletes are visible immediately, not at the next
+//     compaction.
 //
-//   - A background compactor watches three pressure signals — the pending
-//     log ratio, the tombstone ratio, and access-frequency drift
-//     (core.FreqDrift over per-cluster probe counters) — and when any
-//     crosses its threshold it folds the overlay into a fresh index
-//     (ivfpq.CloneStructure + surviving entries), re-runs Algorithm 1
-//     placement under the observed frequencies, deploys a new core.Engine
-//     on a fresh pim.System, and publishes it as the next epoch.
+//   - A background compactor watches the pending-log and tombstone
+//     ratios and, when either crosses its threshold, folds the overlay
+//     into a fresh index (ivfpq.CloneStructure + surviving entries) and
+//     publishes it as the next epoch.
 //
 // Epoch publication is RCU-style: the snapshot lives in an
-// atomic.Pointer, readers validate their loaded snapshot against the
-// overlay under a read lock (publication takes the write lock), and
-// writers never block readers for the duration of a rebuild — the old
-// epoch keeps serving while the next one is built offline. See DESIGN.md
+// atomic.Pointer, publication takes the overlay write lock, and writers
+// never block readers for the duration of a rebuild — the old epoch
+// keeps serving while the next one is built offline. See DESIGN.md
 // ("Layer 3.5 — mutability") for the full consistency argument.
 //
 // Deployed with a Config.Schema, the index additionally answers
-// attribute-filtered searches (Search with SearchOpts.Pred set): vectors
-// carry typed tags
-// in a filter.Store beside the index, and a selectivity-adaptive
-// executor either pushes the predicate's allow-bitmap into the host scan
-// kernels or post-filters an inflated candidate set. Tags arrive with
-// upserts, survive compaction untouched, and die with deletes; the
-// overlay scan applies the same predicate, so writes are filter-visible
-// immediately.
+// attribute-filtered searches (SearchOpts.Pred): vectors carry typed tags
+// in a filter.Store beside the index, and a selectivity-adaptive planner
+// either pushes the predicate's allow-bitmap into the base scan or
+// post-filters an inflated candidate set — the same read with a
+// predicate that only prunes it. Tags arrive with upserts, survive
+// compaction untouched, and die with deletes.
 package mutable

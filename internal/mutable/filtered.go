@@ -5,21 +5,15 @@ import (
 	"time"
 
 	"repro/internal/filter"
-	"repro/internal/ivfpq"
 	"repro/internal/obs"
-	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
 
-// This file is the filtered-search path of the updatable index:
-// attribute-constrained queries answered against the current epoch
-// snapshot merged with the write overlay. Filtered queries bypass the
-// PIM engine and run on the host kernels (ivfpq.Index.Search with the
-// allow predicate fused into the scan) with the same fixed-scale
-// quantized LUT arithmetic, so filtered and unfiltered distances stay directly
-// comparable while the allow-bitmap is pushed all the way into the code
-// scan. Because the engine is bypassed, filtered k is bounded by
-// filter.MaxFetchK rather than the engine's configured K.
+// This file is the attribute side of the updatable index: tag storage
+// and the planner that turns a predicate into the match function the
+// one read path (UpdatableIndex.read) prunes its scans with. Filtered
+// and unfiltered queries are the same scan with and without it; only
+// the k bound differs (filter.MaxFetchK instead of Engine.K).
 //
 // Attributes live in a filter.Store keyed by vector ID, independent of
 // epochs: they arrive with upserts, survive compaction untouched
@@ -107,9 +101,9 @@ func (u *UpdatableIndex) FilterStats() *filter.StatsSnapshot {
 	return u.fstats.Snapshot()
 }
 
-// searchFiltered is the filtered arm of Search (SearchOpts.Pred != nil),
-// letting estimated selectivity choose between the two execution
-// strategies unless SearchOpts.Mode pins one:
+// planFiltered resolves the filtered arm of Search (SearchOpts.Pred !=
+// nil) into rd, letting estimated selectivity choose between the two
+// execution strategies unless SearchOpts.Mode pins one:
 //
 //   - pre-filtering evaluates pred to an allow-bitmap over posting
 //     lists, then scans only matching codes in each probed cluster of
@@ -119,44 +113,21 @@ func (u *UpdatableIndex) FilterStats() *filter.StatsSnapshot {
 //     and applies pred to the candidates — cheap at high selectivity
 //     where almost everything passes anyway.
 //
-// The overlay is always scanned with the predicate applied per entry
-// (it is small, so inflation buys nothing there), and tombstone/version
-// shadowing works exactly as in the unfiltered path: a consistent
-// (epoch, overlay) view is captured under the overlay read lock, so
-// epoch swaps racing the search cannot lose folded entries. The stage
-// log's filter.plan stage carries the planner's decision and, after the
-// scan, the base stage reports the estimated against the achieved
-// selectivity so estimator drift is visible per trace.
-func (u *UpdatableIndex) searchFiltered(queries *vecmath.Matrix, k int, pred filter.Pred, mode filter.Mode, sl *obs.StageLog, cost *obs.Cost) ([][]topk.Candidate, error) {
-	if queries.Dim != u.dim {
-		return nil, fmt.Errorf("mutable: query dim %d != index dim %d", queries.Dim, u.dim)
-	}
-	if k <= 0 || k > filter.MaxFetchK {
-		return nil, fmt.Errorf("mutable: filtered k %d outside (0, %d]", k, filter.MaxFetchK)
+// The overlay is always scanned with the predicate applied per entry (it
+// is small, so inflation buys nothing there). The stage log's
+// filter.plan stage carries the planner's decision; the base stage later
+// reports the estimated against the achieved selectivity so estimator
+// drift is visible per trace.
+func (u *UpdatableIndex) planFiltered(rd *baseRead, nq int, o SearchOpts) error {
+	if o.K <= 0 || o.K > filter.MaxFetchK {
+		return fmt.Errorf("mutable: filtered k %d outside (0, %d]", o.K, filter.MaxFetchK)
 	}
 	if u.attrs == nil {
-		return nil, ErrNoSchema
+		return ErrNoSchema
 	}
-	if pred == nil {
-		return nil, fmt.Errorf("%w: nil predicate", filter.ErrInvalid)
+	if err := o.Pred.Validate(u.attrs.Schema()); err != nil {
+		return err
 	}
-	if err := pred.Validate(u.attrs.Schema()); err != nil {
-		return nil, err
-	}
-
-	nprobe := u.cfg.Engine.NProbe
-	nq := queries.Rows
-	probeStart := time.Now()
-	probes := make([][]int32, nq)
-	coarse := u.snap.Load().ix.Coarse
-	for qi := 0; qi < nq; qi++ {
-		probes[qi] = coarse.Probe(queries.Row(qi), nprobe)
-		for _, c := range probes[qi] {
-			u.acc[c].Add(1)
-		}
-	}
-	sl.Record("mutable.probe", probeStart,
-		obs.Int("queries", int64(nq)), obs.Int("nprobe", int64(nprobe)))
 
 	// Selectivity is matches over the *corpus* the scan covers, not over
 	// tagged vectors: on a partially-tagged corpus (e.g. a cold-booted
@@ -167,104 +138,20 @@ func (u *UpdatableIndex) searchFiltered(queries *vecmath.Matrix, k int, pred fil
 	// the compaction-trigger ratio on top.
 	planStart := time.Now()
 	total := int(u.snap.Load().baseN)
-	plan := filter.PlanSearch(u.attrs.EstimateTotal(pred, total), k, mode)
-	u.fstats.Record(plan, mode != filter.ModeAuto, nq)
-	sl.Record("filter.plan", planStart,
-		obs.Str("mode", plan.Mode.String()),
-		obs.Float("est_selectivity", plan.Selectivity),
-		obs.Int("fetch_k", int64(plan.FetchK)),
-		obs.Bool("forced", mode != filter.ModeAuto))
+	rd.plan = filter.PlanSearch(u.attrs.EstimateTotal(o.Pred, total), o.K, o.Mode)
+	u.fstats.Record(rd.plan, o.Mode != filter.ModeAuto, nq)
+	o.Stages.Record("filter.plan", planStart,
+		obs.Str("mode", rd.plan.Mode.String()),
+		obs.Float("est_selectivity", rd.plan.Selectivity),
+		obs.Int("fetch_k", int64(rd.plan.FetchK)),
+		obs.Bool("forced", o.Mode != filter.ModeAuto))
 
-	// The match predicate pushed into the scans: the pre path probes the
-	// evaluated bitmap, the post path checks tags per candidate (only for
-	// the overlay and the post-scan filter pass).
-	var allow func(int64) bool
-	if plan.Mode == filter.ModePre {
-		allow = u.attrs.Eval(pred).Contains
+	// The pre path probes the evaluated bitmap; the post path checks tags
+	// per candidate (overlay entries and fetched base candidates only).
+	if rd.plan.Mode == filter.ModePre {
+		rd.match = u.attrs.Eval(o.Pred).Contains
 	} else {
-		allow = func(id int64) bool { return u.attrs.Matches(pred, id) }
+		rd.match = func(id int64) bool { return u.attrs.Matches(o.Pred, id) }
 	}
-
-	// Capture a consistent (snapshot, overlay) cut, like Search's
-	// swap-proof slow path: the overlay candidates are materialized and
-	// the filter maps copied under the read lock, then the captured epoch
-	// (immutable forever) is scanned lock-free. The pin keeps a tiered
-	// epoch's image file alive through the scan even if a racing
-	// compaction retires it (no-op for engine epochs).
-	u.mu.RLock()
-	snap := u.snap.Load()
-	snap.pin()
-	defer snap.unpin()
-	view := overlayView{
-		tombs:  make(map[int64]uint64, len(u.tombs)),
-		latest: make(map[int64]entryRef, len(u.latest)),
-	}
-	for id, s := range u.tombs {
-		view.tombs[id] = s
-	}
-	for id, r := range u.latest {
-		view.latest[id] = r
-	}
-	ovStart := time.Now()
-	view.cands = u.scanOverlay(snap, queries, probes, k, allow, cost)
-	sl.Record("mutable.overlay", ovStart, obs.Int("pending", int64(u.logCount)))
-	u.mu.RUnlock()
-
-	// The base scan accumulates the host kernels' stats so the trace can
-	// report the selectivity the scan actually saw next to the estimate
-	// the plan was made on: pre-filtering's achieved selectivity is the
-	// fraction of visited codes that passed the bitmap, post-filtering's
-	// is the fraction of fetched candidates that passed the tag check.
-	baseStart := time.Now()
-	var st ivfpq.SearchStats
-	keptN, fetchedN := 0, 0
-	base := make([][]topk.Candidate, nq)
-	for qi := 0; qi < nq; qi++ {
-		if plan.Mode == filter.ModePre {
-			cands, s, err := snap.searchBase(queries.Row(qi), ivfpq.SearchOpts{
-				NProbe: nprobe, K: k, Allow: allow, Quantized: true,
-			}, cost)
-			if err != nil {
-				return nil, err
-			}
-			st.Add(s)
-			base[qi] = cands
-			continue
-		}
-		cands, s, err := snap.searchBase(queries.Row(qi), ivfpq.SearchOpts{
-			NProbe: nprobe, K: plan.FetchK, Quantized: true,
-		}, cost)
-		if err != nil {
-			return nil, err
-		}
-		st.Add(s)
-		fetchedN += len(cands)
-		kept := cands[:0]
-		for _, c := range cands {
-			if allow(c.ID) {
-				kept = append(kept, c)
-			}
-		}
-		keptN += len(kept)
-		base[qi] = kept
-	}
-	actual := plan.Selectivity
-	if plan.Mode == filter.ModePre {
-		if visited := st.CodesScanned + st.CodesFiltered; visited > 0 {
-			actual = float64(st.CodesScanned) / float64(visited)
-		}
-	} else if fetchedN > 0 {
-		actual = float64(keptN) / float64(fetchedN)
-	}
-	sl.Record("mutable.base", baseStart,
-		obs.Str("mode", plan.Mode.String()),
-		obs.Int("codes_scanned", int64(st.CodesScanned)),
-		obs.Float("est_selectivity", plan.Selectivity),
-		obs.Float("actual_selectivity", actual))
-	cost.AddScan(int64(st.CodesScanned), int64(st.CodeBytes), int64(st.LUTEntries))
-
-	mergeStart := time.Now()
-	out := mergeResults(&view, base, k)
-	sl.Record("mutable.merge", mergeStart)
-	return out, nil
+	return nil
 }

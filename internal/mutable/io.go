@@ -287,6 +287,7 @@ func Read(r io.Reader, cfg Config) (*UpdatableIndex, error) {
 		}
 	}
 	u.latest = latest
+	u.shadow = pendingShadow(latest, tombs)
 	u.startCompactor()
 	return u, nil
 }

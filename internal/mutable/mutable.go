@@ -20,10 +20,14 @@ import (
 
 // Config tunes the updatable index.
 type Config struct {
-	// Engine configures every epoch's core.Engine deployment; Engine.K
-	// bounds the k any Search may request.
+	// Engine carries the serving operating point: serving reads only
+	// Engine.NProbe (clusters probed per query) and Engine.K (the base
+	// fetch depth, which bounds the k an unfiltered Search may request).
+	// The remaining fields, and Spec below, are not read by this package;
+	// they are carried for the repo benchmark, which replays the paper's
+	// simulated-DPU engine over the same index with them.
 	Engine core.Config
-	// Spec is the PIM system shape each epoch is deployed on.
+	// Spec is the PIM system shape of that paper-model replay.
 	Spec pim.Spec
 
 	// MaxLogRatio triggers compaction when pending log entries exceed
@@ -32,15 +36,6 @@ type Config struct {
 	// MaxTombRatio triggers compaction when tombstones exceed this
 	// fraction of the epoch's base size (default 0.08).
 	MaxTombRatio float64
-	// DriftThreshold triggers compaction (re-placement) when the
-	// total-variation distance between the epoch's placement frequencies
-	// and the observed access frequencies crosses it (default
-	// core.DefaultDriftThreshold).
-	DriftThreshold float64
-	// MinDriftProbes is the minimum number of observed cluster probes
-	// before drift is trusted (default 8 per cluster).
-	MinDriftProbes int
-
 	// CheckInterval is the background compactor's poll period (default
 	// 25ms). Zero or negative disables the background compactor; callers
 	// then drive Compact explicitly.
@@ -56,7 +51,7 @@ type Config struct {
 	// Tier, when non-nil, serves each epoch's base out of core: the
 	// folded base is written as a cluster image file and searched through
 	// an internal/tier store (hot-set pinning, prefetch, cold streaming)
-	// instead of a PIM engine deployment. The write overlay stays in RAM.
+	// instead of in-RAM posting lists. The write overlay stays in RAM.
 	// Tiered deployments do not support WriteTo persistence.
 	Tier *TierConfig
 }
@@ -65,12 +60,11 @@ type Config struct {
 // field, over the engine's default operating point.
 func DefaultConfig() Config {
 	return Config{
-		Engine:         core.DefaultConfig(),
-		Spec:           pim.DefaultSpec(),
-		MaxLogRatio:    0.15,
-		MaxTombRatio:   0.08,
-		DriftThreshold: core.DefaultDriftThreshold,
-		CheckInterval:  25 * time.Millisecond,
+		Engine:        core.DefaultConfig(),
+		Spec:          pim.DefaultSpec(),
+		MaxLogRatio:   0.15,
+		MaxTombRatio:  0.08,
+		CheckInterval: 25 * time.Millisecond,
 	}
 }
 
@@ -79,12 +73,10 @@ func DefaultConfig() Config {
 // benchmark always measure the same deployment:
 //
 //   - Engine.K carries 2x slack over the serving k: tombstones filter
-//     candidates after the engine's top-K selection, and the slack keeps
-//     deletes from starving result sets between compactions;
-//   - CAE is off: re-mining co-occurrence on every epoch would dominate
-//     compaction cost, and the encoding is lossless so results are
-//     unchanged — the classic static-vs-churning index trade;
-//   - the PIM system is a single DIMM of the given DPU count.
+//     candidates after the base scan's top-K selection, and the slack
+//     keeps deletes from starving result sets between compactions;
+//   - seed, CAE off and the single DIMM of dpus DPUs shape only the
+//     benchmark's paper-model replay (see Config.Engine).
 func ServingConfig(nprobe, k, dpus int, seed uint64) Config {
 	cfg := DefaultConfig()
 	cfg.Engine.NProbe = nprobe
@@ -96,33 +88,25 @@ func ServingConfig(nprobe, k, dpus int, seed uint64) Config {
 	return cfg
 }
 
-func (c Config) withDefaults(nlist int) Config {
+func (c Config) withDefaults() Config {
 	if c.MaxLogRatio <= 0 {
 		c.MaxLogRatio = 0.15
 	}
 	if c.MaxTombRatio <= 0 {
 		c.MaxTombRatio = 0.08
 	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = core.DefaultDriftThreshold
-	}
-	if c.MinDriftProbes <= 0 {
-		c.MinDriftProbes = 8 * nlist
-	}
 	return c
 }
 
-// snapshot is one published epoch: an immutable index deployed on its own
-// PIM system — or, in tiered mode, on a tier store over an epoch image
+// snapshot is one published epoch: an immutable index whose base is
+// searched by the native ADC kernels, from its in-RAM posting lists or —
+// in tiered mode (tix non-nil) — through a tier store over an epoch image
 // file. Readers load it through an atomic pointer and never observe
-// mutation; the engine mutex serializes SearchBatch, which reuses per-DPU
-// scratch and is not reentrant. Exactly one of eng/tix is non-nil.
+// mutation.
 type snapshot struct {
 	epoch uint64
 	ix    *ivfpq.Index
-	eng   *core.Engine
-	engMu sync.Mutex
-	freqs []float64 // placement frequencies this epoch was deployed with
+	freqs []float64 // access frequencies seeding a tiered epoch's hot set
 	baseN int64
 	occ   []float64 // per-cluster base vector counts (quality drift reference)
 
@@ -155,7 +139,7 @@ type entryRef struct {
 // UpdatableIndex is a streaming-updatable UpANNS deployment: online
 // Insert/Delete into a write overlay, reads against the current epoch
 // snapshot merged with the overlay, and epoch compaction that folds the
-// overlay into a freshly placed deployment. Safe for concurrent use.
+// overlay into a fresh immutable base. Safe for concurrent use.
 type UpdatableIndex struct {
 	cfg   Config
 	dim   int
@@ -163,19 +147,26 @@ type UpdatableIndex struct {
 
 	snap atomic.Pointer[snapshot]
 
-	// mu guards the write overlay (seq, logs, latest, tombs, logCount)
-	// and orders overlay reads against epoch publication: publication
-	// holds the write lock, so a reader that validates its snapshot while
-	// holding the read lock sees an overlay consistent with that epoch.
-	mu       sync.RWMutex
-	seq      uint64
-	logs     []clusterLog
-	latest   map[int64]entryRef // id -> newest log version
-	tombs    map[int64]uint64   // id -> delete sequence number
+	// mu guards the write overlay (seq, logs, latest, tombs, shadow,
+	// logCount) and orders overlay reads against epoch publication:
+	// publication holds the write lock, so a reader that loads its snapshot
+	// while holding the read lock sees an overlay consistent with that
+	// epoch.
+	mu     sync.RWMutex
+	seq    uint64
+	logs   []clusterLog
+	latest map[int64]entryRef // id -> newest log version
+	tombs  map[int64]uint64   // id -> delete sequence number
+	// shadow maps an id to the sequence number of its first write (insert
+	// or delete) since the current epoch's fold: the epoch's base version
+	// of the id is dead to every read cut at or after it. Entries are only
+	// added, and publication installs a fresh map instead of pruning, so a
+	// read cut on a replaced epoch keeps looking at that epoch's map.
+	shadow   map[int64]uint64
 	logCount int
 
-	// acc counts cluster probes since the last epoch; the compactor turns
-	// them into placement frequencies and a drift measurement.
+	// acc counts cluster probes since the last epoch: the frequency seed
+	// compaction hands the next tiered epoch's store.
 	acc []atomic.Uint64
 
 	// attrs is the attribute store (nil without Config.Schema). It is
@@ -203,8 +194,8 @@ type UpdatableIndex struct {
 }
 
 // New deploys ix as epoch 0 and returns the updatable index over it.
-// freqs seeds Algorithm 1 placement (nil = uniform), exactly as
-// core.Build. The background compactor starts unless
+// freqs seeds a tiered deployment's hot set (nil = uniform) and is
+// otherwise only persisted. The background compactor starts unless
 // cfg.CheckInterval <= 0. The caller must not mutate ix afterwards; the
 // index becomes the immutable base of epoch 0.
 func New(ix *ivfpq.Index, freqs []float64, cfg Config) (*UpdatableIndex, error) {
@@ -219,7 +210,7 @@ func New(ix *ivfpq.Index, freqs []float64, cfg Config) (*UpdatableIndex, error) 
 // newIndex builds the index without starting the background compactor, so
 // Read can restore persisted state before any concurrency begins.
 func newIndex(ix *ivfpq.Index, freqs []float64, cfg Config) (*UpdatableIndex, error) {
-	cfg = cfg.withDefaults(ix.NList())
+	cfg = cfg.withDefaults()
 	if freqs == nil {
 		freqs = make([]float64, ix.NList())
 		for i := range freqs {
@@ -233,6 +224,7 @@ func newIndex(ix *ivfpq.Index, freqs []float64, cfg Config) (*UpdatableIndex, er
 		logs:   make([]clusterLog, ix.NList()),
 		latest: make(map[int64]entryRef),
 		tombs:  make(map[int64]uint64),
+		shadow: make(map[int64]uint64),
 		acc:    make([]atomic.Uint64, ix.NList()),
 		stopc:  make(chan struct{}),
 	}
@@ -247,11 +239,7 @@ func newIndex(ix *ivfpq.Index, freqs []float64, cfg Config) (*UpdatableIndex, er
 		u.snap.Store(snap)
 		return u, nil
 	}
-	eng, err := core.Build(ix, pim.NewSystem(cfg.Spec), freqs, cfg.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("mutable: deploying epoch 0: %w", err)
-	}
-	u.snap.Store(&snapshot{ix: ix, eng: eng, freqs: freqs, baseN: ix.NTotal, occ: clusterOccupancy(ix)})
+	u.snap.Store(&snapshot{ix: ix, freqs: freqs, baseN: ix.NTotal, occ: clusterOccupancy(ix)})
 	return u, nil
 }
 
@@ -328,14 +316,24 @@ func (u *UpdatableIndex) insert(id int64, vec []float32) error {
 	return nil
 }
 
+// touch allots the next write sequence number to a write of id, noting
+// it in shadow if it is the id's first since the fold; caller holds mu.
+func (u *UpdatableIndex) touch(id int64) uint64 {
+	u.seq++
+	if _, ok := u.shadow[id]; !ok {
+		u.shadow[id] = u.seq
+	}
+	return u.seq
+}
+
 // stage appends one encoded entry; caller holds mu.
 func (u *UpdatableIndex) stage(cl int32, id int64, code []uint8) {
-	u.seq++
+	seq := u.touch(id)
 	lg := &u.logs[cl]
 	lg.ids = append(lg.ids, id)
-	lg.seqs = append(lg.seqs, u.seq)
+	lg.seqs = append(lg.seqs, seq)
 	lg.codes = append(lg.codes, code...)
-	u.latest[id] = entryRef{cluster: cl, seq: u.seq}
+	u.latest[id] = entryRef{cluster: cl, seq: seq}
 	u.logCount++
 }
 
@@ -385,8 +383,7 @@ func (u *UpdatableIndex) upsert(ids []int64, vecs *vecmath.Matrix) error {
 // filtered search can match a stale tag but never resurface the vector).
 func (u *UpdatableIndex) Delete(id int64) {
 	u.mu.Lock()
-	u.seq++
-	u.tombs[id] = u.seq
+	u.tombs[id] = u.touch(id)
 	u.mu.Unlock()
 	if u.attrs != nil {
 		u.attrs.Remove(id)
@@ -399,8 +396,7 @@ func (u *UpdatableIndex) Delete(id int64) {
 func (u *UpdatableIndex) Remove(ids []int64) error {
 	u.mu.Lock()
 	for _, id := range ids {
-		u.seq++
-		u.tombs[id] = u.seq
+		u.tombs[id] = u.touch(id)
 	}
 	u.mu.Unlock()
 	if u.attrs != nil {
@@ -416,8 +412,8 @@ func (u *UpdatableIndex) Remove(ids []int64) error {
 // K is the plain unfiltered search.
 type SearchOpts struct {
 	// K is the number of neighbors returned per query. Unfiltered
-	// searches bound it by the engine's configured K; filtered searches
-	// (Pred != nil) bypass the engine and bound it by filter.MaxFetchK.
+	// searches bound it by the configured Engine.K; filtered searches
+	// (Pred != nil) bound it by filter.MaxFetchK.
 	K int
 	// Pred, when non-nil, constrains results to vectors whose attributes
 	// satisfy it (requires a deployment Schema; ErrNoSchema otherwise).
@@ -426,182 +422,204 @@ type SearchOpts struct {
 	// value filter.ModeAuto lets estimated selectivity choose. Ignored
 	// when Pred is nil.
 	Mode filter.Mode
-	// Stages, when non-nil, records each pipeline stage (coarse probe,
-	// engine search, epoch-lock wait, overlay scan, filter planning,
-	// merge) with wall time and attributes, for the serving layer to
-	// replay as spans under a traced request's dispatch.
+	// Stages, when non-nil, records each pipeline stage (filter planning,
+	// coarse probe, epoch-lock wait, overlay scan, base scan, merge) with
+	// wall time and attributes, for the serving layer to replay as spans
+	// under a traced request's dispatch.
 	Stages *obs.StageLog
 	// Cost, when non-nil, accumulates the batch's resource vector —
 	// codes scanned, LUT bytes built, overlay entries scored, cold-tier
-	// bytes streamed — for per-query cost accounting. The serving layer
-	// divides it across the batch's distinct queries.
+	// bytes streamed — as measured by the scans themselves. The serving
+	// layer divides it across the batch's distinct queries.
 	Cost *obs.Cost
 }
 
-// Search answers one batch against the current epoch merged with the
-// write overlay, under one option struct: engine candidates (or, for
-// filtered queries, host kernel candidates) are filtered through
-// tombstones and version shadowing, then the probed clusters' log
-// entries are scanned with the same fixed-scale quantized-LUT arithmetic
-// the DPU kernels use, so overlay and base distances are directly
-// comparable. It satisfies serve.Backend.
-//
-// Consistency: the engine is searched against a loaded snapshot, then the
-// snapshot is re-validated under the overlay read lock before the overlay
-// is merged. Epoch publication swaps the snapshot and truncates the
-// folded overlay atomically under the write lock, so a reader that passes
-// validation observes (epoch, overlay) as a consistent pair; if an epoch
-// swap raced the engine search, the search switches to a swap-proof slow
-// path on a captured view.
-func (u *UpdatableIndex) Search(queries *vecmath.Matrix, o SearchOpts) ([][]topk.Candidate, error) {
-	if o.Pred != nil {
-		return u.searchFiltered(queries, o.K, o.Pred, o.Mode, o.Stages, o.Cost)
-	}
-	return u.searchPlain(queries, o.K, o.Stages, o.Cost)
+// baseRead is what every query shape — plain, pre-/post-filtered, oracle —
+// reduces to before the one read sequence runs. A predicate only prunes
+// the scan: match is nil for unfiltered reads, and otherwise is applied
+// to every overlay entry and either pushed into the base scan as its
+// allow predicate (plan.Mode == filter.ModePre) or checked against the
+// plan.FetchK candidates the base returns (filter.ModePost).
+type baseRead struct {
+	k      int
+	nprobe int
+	match  func(int64) bool
+	plan   filter.Plan
 }
 
-func (u *UpdatableIndex) searchPlain(queries *vecmath.Matrix, k int, sl *obs.StageLog, cost *obs.Cost) ([][]topk.Candidate, error) {
+// Search answers one batch against the current epoch merged with the
+// write overlay. Every query shape runs the same sequence: coarse probe,
+// one consistent (epoch, overlay) cut, base scan on the native ADC
+// kernels, merge. Base and overlay are both scored with the index's
+// fixed-scale quantized-LUT arithmetic, so their distances are directly
+// comparable. It satisfies serve.Backend.
+func (u *UpdatableIndex) Search(queries *vecmath.Matrix, o SearchOpts) ([][]topk.Candidate, error) {
 	if queries.Dim != u.dim {
 		return nil, fmt.Errorf("mutable: query dim %d != index dim %d", queries.Dim, u.dim)
 	}
-	if k <= 0 || k > u.cfg.Engine.K {
-		return nil, fmt.Errorf("mutable: k %d outside (0, %d]", k, u.cfg.Engine.K)
+	rd := baseRead{k: o.K, nprobe: u.cfg.Engine.NProbe, plan: filter.Plan{FetchK: o.K}}
+	if o.Pred == nil {
+		if o.K <= 0 || o.K > u.cfg.Engine.K {
+			return nil, fmt.Errorf("mutable: k %d outside (0, %d]", o.K, u.cfg.Engine.K)
+		}
+	} else if err := u.planFiltered(&rd, queries.Rows, o); err != nil {
+		return nil, err
 	}
 
 	// Cluster filtering once per query: the coarse quantizer is shared by
-	// every epoch, so probes are epoch-independent. Probe counts feed the
-	// compactor's drift detector.
-	nq := queries.Rows
+	// every epoch, so probes are epoch-independent. The probe counters
+	// seed the next tiered epoch's hot set.
 	probeStart := time.Now()
-	probes := make([][]int32, nq)
+	probes := make([][]int32, queries.Rows)
 	coarse := u.snap.Load().ix.Coarse
-	for qi := 0; qi < nq; qi++ {
-		probes[qi] = coarse.Probe(queries.Row(qi), u.cfg.Engine.NProbe)
+	for qi := range probes {
+		probes[qi] = coarse.Probe(queries.Row(qi), rd.nprobe)
 		for _, c := range probes[qi] {
 			u.acc[c].Add(1)
 		}
 	}
-	sl.Record("mutable.probe", probeStart,
-		obs.Int("queries", int64(nq)), obs.Int("nprobe", int64(u.cfg.Engine.NProbe)))
+	o.Stages.Record("mutable.probe", probeStart,
+		obs.Int("queries", int64(queries.Rows)), obs.Int("nprobe", int64(rd.nprobe)))
+	return u.read(queries, probes, rd, o.Stages, o.Cost)
+}
 
-	// Tiered deployments have no engine; the base streams from the epoch
-	// image through the tier store on a pinned snapshot.
-	if u.cfg.Tier != nil {
-		return u.searchTiered(queries, probes, k, sl, cost)
+// read is the one read sequence behind Search and SearchOracle.
+//
+// Consistency: one read-lock critical section loads and pins the epoch,
+// takes the write-sequence watermark and gathers the live overlay
+// entries (scored after it, off their append-only logs). Epoch publication swaps the snapshot and truncates the
+// folded overlay under the write lock, so the captured (epoch, overlay)
+// pair is consistent; the captured epoch is immutable, so its base is then
+// scanned lock-free while compactions publish and retire epochs freely
+// (the pin keeps a tiered epoch's image alive until the merge is done).
+// The merge drops the base hits the cut's shadow map had killed by the
+// watermark — a handful of lookups per query, however many writes are
+// pending — so writes and publications that land during the base scan
+// change nothing the read returns.
+//
+// Fetch depth: the base is asked for max(plan.FetchK, Engine.K)
+// candidates. Tombstones and version shadowing drop base hits after the
+// scan's own top-k selection, and the slack Engine.K carries over the
+// serving k (see ServingConfig) keeps a delete from shrinking result
+// sets between compactions — on every query shape.
+func (u *UpdatableIndex) read(queries *vecmath.Matrix, probes [][]int32, rd baseRead, sl *obs.StageLog, cost *obs.Cost) ([][]topk.Candidate, error) {
+	// The read lock orders this search against epoch publication; a
+	// compaction publishing right now holds the write lock, so this wait
+	// IS the compaction pause a reader experiences.
+	lockStart := time.Now()
+	u.mu.RLock()
+	sl.Record("mutable.epoch_wait", lockStart, obs.Bool("compacting", u.compacting.Load()))
+	snap := u.snap.Load()
+	snap.pin()
+	defer snap.unpin()
+	view := overlayView{seq: u.seq, shadow: u.shadow}
+	ovStart, pending := time.Now(), u.logCount
+	sc := overlayPool.Get().(*overlayScratch)
+	u.gatherOverlay(sc, probes, rd.match)
+	u.mu.RUnlock()
+	view.cands = u.scoreOverlay(sc, snap, queries, rd.k, cost)
+	overlayPool.Put(sc)
+	sl.Record("mutable.overlay", ovStart, obs.Int("pending", int64(pending)))
+
+	pre := rd.plan.Mode == filter.ModePre
+	bo := ivfpq.SearchOpts{NProbe: rd.nprobe, K: max(rd.plan.FetchK, u.cfg.Engine.K), Quantized: true}
+	if pre {
+		bo.Allow = rd.match
 	}
-
-	// The engine scans every probed cluster's full posting list; its
-	// batch result carries no per-query counters, so the base-scan cost
-	// is derived from the probed list sizes — the exact row counts the
-	// ADC kernels visit.
-	if cost != nil {
-		ix := u.snap.Load().ix
-		var codes int64
-		for qi := 0; qi < nq; qi++ {
-			for _, c := range probes[qi] {
-				if n := ix.Lists[c].Len(); n > 0 {
-					codes += int64(n)
-					cost.AddScan(0, 0, int64(ix.PQ.M*pq.CodebookSize))
-				}
-			}
-		}
-		cost.AddScan(codes, codes*int64(ix.PQ.M), 0)
-	}
-
-	// Fast path: search the engine first, then validate that no epoch was
-	// published in between (publication holds the write lock, so holding
-	// the read lock freezes it). On validation failure the overlay
-	// entries folded into the new epoch are already truncated, so the
-	// merge would lose them — switch to the swap-proof slow path below
-	// instead of retrying: retries both risk livelock under back-to-back
-	// compactions and inflate the read tail with extra engine passes.
-	{
-		snap := u.snap.Load()
-		engStart := time.Now()
-		snap.engMu.Lock()
-		br, err := snap.eng.SearchBatch(queries)
-		snap.engMu.Unlock()
+	baseStart := time.Now()
+	var st tier.SearchStats
+	kept, fetched := 0, 0
+	base := make([][]topk.Candidate, queries.Rows)
+	for qi := range base {
+		cands, s, err := snap.searchBase(queries.Row(qi), bo)
 		if err != nil {
 			return nil, err
 		}
-		sl.Record("mutable.engine", engStart,
-			obs.Int("epoch", int64(snap.epoch)), obs.Bool("compacting", u.compacting.Load()))
-
-		// The read lock orders this search against epoch publication; a
-		// compaction publishing right now holds the write lock, so this
-		// wait IS the compaction pause a reader experiences.
-		lockStart := time.Now()
-		u.mu.RLock()
-		sl.Record("mutable.epoch_wait", lockStart, obs.Bool("compacting", u.compacting.Load()))
-		if u.snap.Load() == snap {
-			view := overlayView{tombs: u.tombs, latest: u.latest}
-			ovStart := time.Now()
-			view.cands = u.scanOverlay(snap, queries, probes, k, nil, cost)
-			sl.Record("mutable.overlay", ovStart, obs.Int("pending", int64(u.logCount)))
-			mergeStart := time.Now()
-			out := mergeResults(&view, br.Results, k)
-			u.mu.RUnlock()
-			sl.Record("mutable.merge", mergeStart)
-			return out, nil
+		st.SearchStats.Add(s.SearchStats)
+		st.HotClusters += s.HotClusters
+		st.ColdClusters += s.ColdClusters
+		st.SkippedClusters += s.SkippedClusters
+		st.ColdBytes += s.ColdBytes
+		if rd.plan.Mode == filter.ModePost {
+			fetched += len(cands)
+			n := 0
+			for _, c := range cands {
+				if rd.match(c.ID) {
+					cands[n] = c
+					n++
+				}
+			}
+			cands = cands[:n]
+			kept += n
 		}
-		u.mu.RUnlock()
+		base[qi] = cands
+	}
+	cost.AddScan(int64(st.CodesScanned), int64(st.CodeBytes), int64(st.LUTEntries))
+	cost.AddColdBytes(int64(st.ColdBytes))
+	if sl != nil {
+		attrs := []obs.Attr{obs.Int("epoch", int64(snap.epoch)), obs.Int("codes_scanned", int64(st.CodesScanned))}
+		if snap.tix != nil {
+			attrs = append(attrs, obs.Int("hot_clusters", int64(st.HotClusters)),
+				obs.Int("cold_clusters", int64(st.ColdClusters)), obs.Int("skipped_clusters", int64(st.SkippedClusters)))
+		}
+		if rd.match != nil {
+			// The selectivity the scan actually saw next to the estimate
+			// the plan was made on: the fraction of visited codes that
+			// passed the pushed-down predicate, or of fetched candidates
+			// that passed the tag check.
+			actual := rd.plan.Selectivity
+			if visited := st.CodesScanned + st.CodesFiltered; pre && visited > 0 {
+				actual = float64(st.CodesScanned) / float64(visited)
+			} else if !pre && fetched > 0 {
+				actual = float64(kept) / float64(fetched)
+			}
+			attrs = append(attrs, obs.Str("mode", rd.plan.Mode.String()),
+				obs.Float("est_selectivity", rd.plan.Selectivity), obs.Float("actual_selectivity", actual))
+		}
+		sl.Record("mutable.base", baseStart, attrs...)
 	}
 
-	// Slow path: capture a consistent (snapshot, overlay) view under the
-	// read lock — the overlay candidates are materialized and the filter
-	// maps copied — then search the captured epoch, which stays immutable
-	// no matter how many epochs are published meanwhile.
-	u.mu.RLock()
-	snap := u.snap.Load()
-	view := overlayView{
-		tombs:  make(map[int64]uint64, len(u.tombs)),
-		latest: make(map[int64]entryRef, len(u.latest)),
-	}
-	for id, s := range u.tombs {
-		view.tombs[id] = s
-	}
-	for id, r := range u.latest {
-		view.latest[id] = r
-	}
-	ovStart := time.Now()
-	view.cands = u.scanOverlay(snap, queries, probes, k, nil, cost)
-	sl.Record("mutable.overlay", ovStart,
-		obs.Int("pending", int64(u.logCount)), obs.Str("path", "slow"))
-	u.mu.RUnlock()
-
-	engStart := time.Now()
-	snap.engMu.Lock()
-	br, err := snap.eng.SearchBatch(queries)
-	snap.engMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	sl.Record("mutable.engine", engStart,
-		obs.Int("epoch", int64(snap.epoch)), obs.Str("path", "slow"))
+	// view.shadow may be the live map, which writers extend under the
+	// write lock.
 	mergeStart := time.Now()
-	out := mergeResults(&view, br.Results, k)
+	u.mu.RLock()
+	out := mergeResults(&view, base, rd.k)
+	u.mu.RUnlock()
 	sl.Record("mutable.merge", mergeStart)
 	return out, nil
 }
 
-// overlayView is a consistent cut of the overlay for one search: the
-// per-query live log candidates plus the maps that filter engine results.
-// On the fast path the maps alias the live overlay (the read lock is held
-// through the merge); on the slow path they are copies.
+// overlayView is the consistent cut of the overlay one read captures: the
+// per-query live log candidates, the write-sequence watermark they were
+// taken at, and the epoch's shadow map, whose entries up to the watermark
+// name the base ids dead at the cut.
 type overlayView struct {
-	tombs  map[int64]uint64
-	latest map[int64]entryRef
+	seq    uint64
+	shadow map[int64]uint64
 	cands  [][]topk.Candidate
 }
 
-// overlayScratch is the pooled working memory of one overlay scan:
-// residual, float LUT, fixed-scale quantized table, and the gather
-// position/distance blocks of the fused live-entry scan.
+// overlayRun is one probed cluster's live log entries for one query: the
+// cluster's log arrays as captured under the read lock (append-only, so
+// they stay valid after it is released) and the run's range in the
+// scratch's gather positions.
+type overlayRun struct {
+	query   int
+	cluster int32
+	ids     []int64
+	codes   []uint8
+	lo, hi  int
+}
+
+// overlayScratch is the pooled working memory of one overlay scan: the
+// gathered runs and their positions, residual, float LUT, fixed-scale
+// quantized table, and one block of distances.
 type overlayScratch struct {
+	runs   []overlayRun
+	at     []int32
 	resid  []float32
 	lut    pq.LUT
 	qtab   []uint16
-	at     []int32
 	qdists []uint32
 }
 
@@ -616,89 +634,85 @@ func (s *overlayScratch) ensure(dim, m int) {
 		s.lut = make(pq.LUT, m*pq.CodebookSize)
 		s.qtab = make([]uint16, m*pq.CodebookSize)
 	}
-	if cap(s.at) < pq.ScanBlock {
-		s.at = make([]int32, 0, pq.ScanBlock)
+	if len(s.qdists) < pq.ScanBlock {
 		s.qdists = make([]uint32, pq.ScanBlock)
 	}
 }
 
-// scanOverlay scores the probed clusters' live log entries for every
-// query with the index's fixed-scale quantized-LUT arithmetic (the exact
-// arithmetic the DPU kernels use, so overlay and engine distances are
-// directly comparable). Live entries are collected into a gather block
-// (version shadowing, tombstones, and the optional match predicate all
-// applied up front) and their codes streamed through the blocked
-// pq.ScanQDistsAt kernel, with all scratch drawn from a pool — the
-// overlay scan allocates nothing per (query, cluster) beyond the result
-// lists. A non-nil match pushes a filter predicate into the scan:
-// entries failing it are skipped before any distance work. Caller holds
-// mu.RLock.
-func (u *UpdatableIndex) scanOverlay(snap *snapshot, queries *vecmath.Matrix, probes [][]int32, k int, match func(int64) bool, cost *obs.Cost) [][]topk.Candidate {
-	m := snap.ix.PQ.M
-	scale := snap.ix.QScale
-	out := make([][]topk.Candidate, queries.Rows)
-	sc := overlayPool.Get().(*overlayScratch)
-	sc.ensure(u.dim, m)
-	scanStart := time.Now()
-	var lutDur time.Duration
-	scanned, lutEntries := 0, 0
-	for qi := range out {
-		heap := topk.NewHeap(k)
+// gatherOverlay collects, for every query, the probed clusters' live log
+// entries into sc — version shadowing, tombstones, and the optional match
+// predicate (a filter pushed into the scan: entries failing it never reach
+// distance work) all applied here, with no arithmetic, so the read lock is
+// held for map lookups only. Caller holds mu.RLock.
+func (u *UpdatableIndex) gatherOverlay(sc *overlayScratch, probes [][]int32, match func(int64) bool) {
+	sc.runs, sc.at = sc.runs[:0], sc.at[:0]
+	for qi := range probes {
 		for _, cl := range probes[qi] {
 			lg := &u.logs[cl]
-			n := len(lg.ids)
-			if n == 0 {
-				continue
-			}
-			haveLUT := false
-			for base := 0; base < n; base += pq.ScanBlock {
-				bn := n - base
-				if bn > pq.ScanBlock {
-					bn = pq.ScanBlock
+			lo := len(sc.at)
+			for i, id := range lg.ids {
+				s := lg.seqs[i]
+				if ref, ok := u.latest[id]; !ok || ref.seq != s {
+					continue // superseded by a later insert of the same id
 				}
-				at := sc.at[:0]
-				for i := base; i < base+bn; i++ {
-					id := lg.ids[i]
-					s := lg.seqs[i]
-					if ref, ok := u.latest[id]; !ok || ref.seq != s {
-						continue // superseded by a later insert of the same id
-					}
-					if ts, ok := u.tombs[id]; ok && ts > s {
-						continue // deleted after this version was written
-					}
-					if match != nil && !match(id) {
-						continue // filtered out before distance work
-					}
-					at = append(at, int32(i))
+				if ts, ok := u.tombs[id]; ok && ts > s {
+					continue // deleted after this version was written
 				}
-				sc.at = at[:0]
-				if len(at) == 0 {
+				if match != nil && !match(id) {
 					continue
 				}
-				if !haveLUT {
-					lutStart := time.Now()
-					snap.ix.Coarse.Residual(sc.resid, queries.Row(qi), cl)
-					snap.ix.PQ.BuildLUTInto(sc.lut, sc.resid)
-					pq.QuantizeWithScaleInto(sc.qtab, sc.lut, scale)
-					lutDur += time.Since(lutStart)
-					lutEntries += len(sc.lut)
-					haveLUT = true
-				}
-				qd := sc.qdists[:len(at)]
-				pq.ScanQDistsAt(qd, sc.qtab, lg.codes, m, at)
-				for j, d := range qd {
-					var f float32
-					if scale != 0 {
-						f = float32(d) / scale
-					}
-					heap.Push(lg.ids[at[j]], f)
-				}
-				scanned += len(at)
+				sc.at = append(sc.at, int32(i))
+			}
+			if len(sc.at) > lo {
+				sc.runs = append(sc.runs, overlayRun{qi, cl, lg.ids, lg.codes, lo, len(sc.at)})
 			}
 		}
-		out[qi] = heap.Sorted()
 	}
-	overlayPool.Put(sc)
+}
+
+// scoreOverlay scores the gathered runs with the index's fixed-scale
+// quantized-LUT arithmetic (the exact arithmetic of the Quantized base
+// scan, so overlay and base distances are directly comparable), streaming
+// their codes through the blocked pq.ScanQDistsAt kernel, and returns each
+// query's k nearest live log entries. It needs no lock and allocates
+// nothing beyond the result lists.
+func (u *UpdatableIndex) scoreOverlay(sc *overlayScratch, snap *snapshot, queries *vecmath.Matrix, k int, cost *obs.Cost) [][]topk.Candidate {
+	m := snap.ix.PQ.M
+	scale := snap.ix.QScale
+	sc.ensure(u.dim, m)
+	out := make([][]topk.Candidate, queries.Rows)
+	heaps := make([]*topk.Heap, queries.Rows)
+	scanStart := time.Now()
+	var lutDur time.Duration
+	for _, run := range sc.runs {
+		lutStart := time.Now()
+		snap.ix.Coarse.Residual(sc.resid, queries.Row(run.query), run.cluster)
+		snap.ix.PQ.BuildLUTInto(sc.lut, sc.resid)
+		pq.QuantizeWithScaleInto(sc.qtab, sc.lut, scale)
+		lutDur += time.Since(lutStart)
+		if heaps[run.query] == nil {
+			heaps[run.query] = topk.NewHeap(k)
+		}
+		for lo := run.lo; lo < run.hi; lo += pq.ScanBlock {
+			at := sc.at[lo:min(lo+pq.ScanBlock, run.hi)]
+			qd := sc.qdists[:len(at)]
+			pq.ScanQDistsAt(qd, sc.qtab, run.codes, m, at)
+			for j, d := range qd {
+				var f float32
+				if scale != 0 {
+					f = float32(d) / scale
+				}
+				heaps[run.query].Push(run.ids[at[j]], f)
+			}
+		}
+	}
+	for qi, h := range heaps {
+		if h != nil {
+			out[qi] = h.Sorted()
+		}
+	}
+	scanned, lutEntries := len(sc.at), len(sc.runs)*len(sc.lut)
+	clear(sc.runs) // drop the log arrays before pooling
 	obs.Kernel.RecordScan(scanned*m, scanned, time.Since(scanStart)-lutDur)
 	obs.Kernel.RecordLUT(lutEntries, lutDur)
 	cost.AddScan(int64(scanned), int64(scanned*m), int64(lutEntries))
@@ -706,18 +720,16 @@ func (u *UpdatableIndex) scanOverlay(snap *snapshot, queries *vecmath.Matrix, pr
 	return out
 }
 
-// mergeResults folds engine candidates (filtered through the view's
-// tombstones and version shadowing) together with the overlay candidates.
-func mergeResults(view *overlayView, engine [][]topk.Candidate, k int) [][]topk.Candidate {
-	out := make([][]topk.Candidate, len(engine))
-	for qi := range engine {
+// mergeResults folds base candidates (minus those deleted or superseded
+// by an overlay version as of the view's cut) together with the overlay
+// candidates. Caller holds mu.RLock.
+func mergeResults(view *overlayView, base [][]topk.Candidate, k int) [][]topk.Candidate {
+	out := make([][]topk.Candidate, len(base))
+	for qi := range base {
 		heap := topk.NewHeap(k)
-		for _, c := range engine[qi] {
-			if _, dead := view.tombs[c.ID]; dead {
+		for _, c := range base[qi] {
+			if s, ok := view.shadow[c.ID]; ok && s <= view.seq {
 				continue
-			}
-			if _, shadowed := view.latest[c.ID]; shadowed {
-				continue // a newer overlay version exists
 			}
 			heap.Push(c.ID, c.Dist)
 		}

@@ -10,11 +10,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// The overlay-merge golden test: scanOverlay's blocked gather kernel
+// The overlay-merge golden test: scoreOverlay's blocked gather kernel
 // (pq.ScanQDistsAt over pooled scratch) must be bit-identical to a scalar
 // recomputation of the same live-entry walk — same shadowing and
 // tombstone decisions, same fixed-scale quantized arithmetic, same
-// distances. Runs in-package so it can drive scanOverlay directly under
+// distances. Runs in-package so it can drive the overlay scan directly under
 // the lock discipline it documents.
 
 func overlayTestIndex(t *testing.T, rows, dim, nlist, m int) (*UpdatableIndex, *vecmath.Matrix) {
@@ -36,7 +36,7 @@ func overlayTestIndex(t *testing.T, rows, dim, nlist, m int) (*UpdatableIndex, *
 	return u, data
 }
 
-// scalarOverlayScan recomputes what scanOverlay should produce using the
+// scalarOverlayScan recomputes what the overlay scan should produce using the
 // retained per-entry scalar arithmetic (QLUT.QDistance + ToFloat), one
 // heap per query. Caller holds u.mu.RLock.
 func scalarOverlayScan(u *UpdatableIndex, snap *snapshot, queries *vecmath.Matrix, probes [][]int32, k int, match func(int64) bool) [][]topk.Candidate {
@@ -126,7 +126,9 @@ func TestScanOverlayGoldenEquivalence(t *testing.T) {
 		probes[qi] = snap.ix.Coarse.Probe(queries.Row(qi), 6)
 	}
 	for pi, match := range preds {
-		got := u.scanOverlay(snap, queries, probes, k, match, nil)
+		sc := &overlayScratch{}
+		u.gatherOverlay(sc, probes, match)
+		got := u.scoreOverlay(sc, snap, queries, k, nil)
 		want := scalarOverlayScan(u, snap, queries, probes, k, match)
 		for qi := range want {
 			if len(got[qi]) != len(want[qi]) {
@@ -138,6 +140,63 @@ func TestScanOverlayGoldenEquivalence(t *testing.T) {
 						pi, qi, ci, got[qi][ci], want[qi][ci])
 				}
 			}
+		}
+	}
+}
+
+// TestCutIgnoresLaterWrites pins the watermark: a read's cut keeps
+// answering as of its write sequence number even when deletes, overwrites
+// and an epoch publication land before its merge — an id touched before
+// the cut is dropped from the base hits, an id touched after it is kept.
+func TestCutIgnoresLaterWrites(t *testing.T) {
+	const rows, dim, k = 2000, 16, 10
+	u, data := overlayTestIndex(t, rows, dim, 12, 8)
+	q := data.Row(7)
+	snap := u.snap.Load()
+	o := ivfpq.SearchOpts{NProbe: 4, K: 2 * k, Quantized: true}
+	base, _, err := snap.searchBase(q, o)
+	if err != nil || len(base) < 4 {
+		t.Fatalf("base scan: %d hits, err %v", len(base), err)
+	}
+	before, deleted, overwritten := base[0].ID, base[1].ID, base[2].ID
+
+	u.Delete(before)
+	u.mu.RLock()
+	view := overlayView{seq: u.seq, shadow: u.shadow, cands: make([][]topk.Candidate, 1)}
+	u.mu.RUnlock()
+
+	u.Delete(deleted)
+	if err := u.Insert(overwritten, data.Row(int(overwritten))); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		u.mu.RLock()
+		got := mergeResults(&view, [][]topk.Candidate{base}, k)[0]
+		u.mu.RUnlock()
+		has := map[int64]bool{}
+		for _, c := range got {
+			has[c.ID] = true
+		}
+		if has[before] || !has[deleted] || !has[overwritten] {
+			t.Fatalf("%s: cut at seq %d returned deleted-before=%v deleted-after=%v overwritten-after=%v, want false/true/true",
+				when, view.seq, has[before], has[deleted], has[overwritten])
+		}
+	}
+	check("after later writes")
+	if ok, err := u.Compact(true); err != nil || !ok {
+		t.Fatalf("compact: %v %v", ok, err)
+	}
+	check("after publication")
+
+	// A cut on the new epoch sees all three writes.
+	res, err := u.Search(vecmath.WrapMatrix(q, 1, dim), SearchOpts{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res[0] {
+		if c.ID == before || c.ID == deleted {
+			t.Fatalf("deleted id %d returned after compaction", c.ID)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/filter"
-	"repro/internal/ivfpq"
 	"repro/internal/obs"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
@@ -18,8 +17,8 @@ import (
 // at full probe width, so the only recall it concedes is quantization
 // itself. It deliberately bypasses every serving-plane surface: no
 // admission, no result cache, no cost vectors, no SLO request windows,
-// and no probe accounting (the drift detector would otherwise measure
-// its own shadow traffic).
+// and no probe accounting (shadow traffic must not steer the tier hot
+// set).
 
 // OracleResult is one exact shadow answer plus the slice/drift context
 // the quality estimators key on.
@@ -37,12 +36,12 @@ type OracleResult struct {
 	Selectivity float64
 }
 
-// SearchOracle answers one query exactly: a full-width scan (nprobe =
-// nlist) over the current epoch base merged with a consistent overlay
-// cut, with pred (may be nil) applied as an exact per-id tag check on
-// both sides. It is the ground truth the quality plane estimates live
-// recall against, and is deliberately kept off every accounting path —
-// it never touches the probe counters, cost vectors, or engine.
+// SearchOracle answers one query exactly: the live read sequence at
+// full width (nprobe = nlist), with pred (may be nil) applied as an
+// exact per-id tag check on both sides. It is the ground truth the
+// quality plane estimates live recall against, and is deliberately kept
+// off every accounting path — it never touches the probe counters or
+// cost vectors.
 func (u *UpdatableIndex) SearchOracle(vec []float32, k int, pred filter.Pred) (OracleResult, error) {
 	res := OracleResult{NProbe: u.cfg.Engine.NProbe, Cluster: -1, Selectivity: 1}
 	if len(vec) != u.dim {
@@ -51,7 +50,15 @@ func (u *UpdatableIndex) SearchOracle(vec []float32, k int, pred filter.Pred) (O
 	if k <= 0 {
 		return res, fmt.Errorf("mutable: oracle k %d must be positive", k)
 	}
-	var allow func(int64) bool
+	// Full width on both sides: every cluster's live log entries compete
+	// with a base scan of every cluster, so the oracle can never miss an
+	// overlay write a full-width base scan would have found. Quantized
+	// distances keep oracle and live arithmetic identical: the oracle
+	// measures the search's recall, not the quantizer's.
+	snap := u.snap.Load()
+	probes := [][]int32{snap.ix.Coarse.Probe(vec, u.nlist)}
+	res.Cluster = int(probes[0][0])
+	rd := baseRead{k: k, nprobe: u.nlist, plan: filter.Plan{FetchK: k}}
 	if pred != nil {
 		if u.attrs == nil {
 			return res, ErrNoSchema
@@ -59,60 +66,17 @@ func (u *UpdatableIndex) SearchOracle(vec []float32, k int, pred filter.Pred) (O
 		if err := pred.Validate(u.attrs.Schema()); err != nil {
 			return res, err
 		}
-		// The exact per-id tag check (not the bitmap): the oracle pays
-		// whatever it costs — it runs sampled and off the hot path.
-		allow = func(id int64) bool { return u.attrs.Matches(pred, id) }
-	}
-
-	queries := vecmath.WrapMatrix(vec, 1, u.dim)
-	res.Cluster = int(u.snap.Load().ix.Coarse.Probe(vec, 1)[0])
-
-	// Full overlay coverage: every cluster's live log entries compete,
-	// so the oracle can never miss an overlay write a full-width base
-	// scan would have found in its cluster.
-	all := make([]int32, u.nlist)
-	for c := range all {
-		all[c] = int32(c)
-	}
-	probes := [][]int32{all}
-
-	// The consistent cut, exactly as searchFiltered takes it: load and
-	// pin the snapshot under the overlay read lock (publication holds
-	// the write lock, so the pair is consistent and the pin outlives a
-	// racing retire), copy the shadowing maps, scan the overlay.
-	u.mu.RLock()
-	snap := u.snap.Load()
-	snap.pin()
-	defer snap.unpin()
-	if pred != nil {
+		// The exact per-id tag check (not the bitmap), pushed into the
+		// base scan: the oracle pays whatever it costs — it runs sampled
+		// and off the hot path.
+		rd.match = func(id int64) bool { return u.attrs.Matches(pred, id) }
+		rd.plan.Mode = filter.ModePre
 		res.Selectivity = u.attrs.EstimateTotal(pred, int(snap.baseN))
 	}
-	view := overlayView{
-		tombs:  make(map[int64]uint64, len(u.tombs)),
-		latest: make(map[int64]entryRef, len(u.latest)),
-	}
-	for id, s := range u.tombs {
-		view.tombs[id] = s
-	}
-	for id, r := range u.latest {
-		view.latest[id] = r
-	}
-	view.cands = u.scanOverlay(snap, queries, probes, k, allow, nil)
-	u.mu.RUnlock()
-
-	// Full-width base scan on whichever executor the snapshot carries
-	// (host kernels, or the tier store for an out-of-core epoch — whose
-	// in-RAM lists are stripped, so ivfpq.SearchReference cannot run
-	// there). Quantized distances keep oracle and live arithmetic
-	// identical: the oracle measures the search's recall, not the
-	// quantizer's.
-	cands, _, err := snap.searchBase(vec, ivfpq.SearchOpts{
-		NProbe: u.nlist, K: k, Allow: allow, Quantized: true,
-	}, nil)
+	out, err := u.read(vecmath.WrapMatrix(vec, 1, u.dim), probes, rd, nil, nil)
 	if err != nil {
 		return res, err
 	}
-	out := mergeResults(&view, [][]topk.Candidate{cands}, k)
 	res.Truth = out[0]
 	return res, nil
 }

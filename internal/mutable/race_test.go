@@ -7,11 +7,13 @@ package mutable_test
 // a concurrent compaction.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ivfpq"
 	"repro/internal/mutable"
 	"repro/internal/tier"
 	"repro/internal/vecmath"
@@ -39,12 +41,26 @@ func startSwapper(t *testing.T, u *mutable.UpdatableIndex, stop chan struct{}) *
 	return &wg
 }
 
-// TestSearchDuringSwap hammers Search while epochs are force-published
-// concurrently: every search must succeed, return full result sets, and
-// always contain a known-live sentinel vector.
+// TestSearchDuringSwap runs four readers against one index while a fifth
+// goroutine force-publishes epochs back to back and a sixth upserts and
+// deletes — nothing serialises base scans any more, so every reader
+// overlaps swaps and writes freely. Every search must return a full
+// result set in which every hit is live at its read point (no id whose
+// Delete returned before the search began), and no acknowledged entry may
+// be lost while it is folded from the overlay into an epoch: the sentinel
+// and every write acknowledged before the search and not yet being
+// deleted after it must be found.
 func TestSearchDuringSwap(t *testing.T) {
 	base := gaussMatrix(1000, testDim, 11)
-	u := buildUpdatable(t, base, 0)
+	ix := ivfpq.Train(base, ivfpq.Params{NList: testNList, M: 4, KSub: 16, Seed: 7})
+	ix.Add(base, 0)
+	cfg := testConfig(0)
+	cfg.Engine.K = 2 * testK // the serving slack: pending deletes must not starve results
+	u, err := mutable.New(ix, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
 
 	sentinel := gaussMatrix(1, testDim, 400).Row(0)
 	const sentinelID = int64(900_000)
@@ -53,47 +69,78 @@ func TestSearchDuringSwap(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
-	var churnWG sync.WaitGroup
-	churnWG.Add(1)
-	var swaps atomic.Uint64
+	swapWG := startSwapper(t, u, stop)
+
+	// The writer stages near-copies of the sentinel under fresh ids
+	// firstID, firstID+1, ... and deletes each one live entries later, so
+	// the live ones always rank inside the top k. The three counters
+	// bracket every write: inserted is stored after Insert returns,
+	// deleting before Delete is called, deleted after it returns.
+	const (
+		firstID = int64(910_000)
+		live    = 4
+	)
+	var inserted, deleting, deleted atomic.Int64
+	for _, c := range []*atomic.Int64{&inserted, &deleting, &deleted} {
+		c.Store(firstID - 1)
+	}
+	var writerWG sync.WaitGroup
+	writerWG.Add(1)
 	go func() {
-		defer churnWG.Done()
-		churn := gaussMatrix(64, testDim, 401)
-		next := int64(910_000)
-		for {
+		defer writerWG.Done()
+		noise := gaussMatrix(64, testDim, 401)
+		vec := make([]float32, testDim)
+		for id := firstID; ; id++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			// Keep the overlay non-empty so every swap truncates logs.
-			for i := 0; i < churn.Rows; i++ {
-				if err := u.Insert(next, churn.Row(i)); err != nil {
-					t.Error(err)
-					return
-				}
-				next++
+			for j := range vec {
+				vec[j] = sentinel[j] + 1e-3*noise.Row(int(id) % noise.Rows)[j]
 			}
-			if _, err := u.Compact(true); err != nil {
+			if err := u.Insert(id, vec); err != nil {
 				t.Error(err)
 				return
 			}
-			swaps.Add(1)
+			inserted.Store(id)
+			if victim := id - live; victim >= firstID {
+				// At most `live` tombstones await a fold, so dead base
+				// copies never crowd the sentinel's neighbourhood out of
+				// the base fetch depth.
+				for u.Stats().Tombstones >= live {
+					select {
+					case <-stop:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+				deleting.Store(victim)
+				u.Delete(victim)
+				deleted.Store(victim)
+			}
 		}
 	}()
 
+	// Readers keep going until several swaps and deletes have overlapped
+	// them, so the race window is never left untested on a fast machine.
+	overlapped := func() bool { return u.Epoch() >= 3 && deleted.Load() >= firstID+2*live }
+	deadline := time.Now().Add(10 * time.Second)
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func(r int) {
 			defer readers.Done()
 			q := vecmath.WrapMatrix(sentinel, 1, testDim)
-			for i := 0; i < 100; i++ {
+			for i := 0; i < 100 || (!overlapped() && time.Now().Before(deadline)); i++ {
+				ackedBefore, deadBefore := inserted.Load(), deleted.Load()
 				res, err := u.Search(q, mutable.SearchOpts{K: testK})
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				dyingAfter := deleting.Load()
 				if len(res[0]) != testK {
 					t.Errorf("reader %d: %d results, want %d", r, len(res[0]), testK)
 					return
@@ -102,14 +149,27 @@ func TestSearchDuringSwap(t *testing.T) {
 					t.Errorf("reader %d: sentinel lost during swap", r)
 					return
 				}
+				for _, c := range res[0] {
+					if c.ID >= firstID && c.ID <= deadBefore {
+						t.Errorf("reader %d: id %d returned after its delete was acknowledged", r, c.ID)
+						return
+					}
+				}
+				for id := dyingAfter + 1; id <= ackedBefore; id++ {
+					if !hasID(res[0], id) {
+						t.Errorf("reader %d: acknowledged write %d lost (epoch %d)", r, id, u.Epoch())
+						return
+					}
+				}
 			}
 		}(r)
 	}
 	readers.Wait()
 	close(stop)
-	churnWG.Wait()
-	if swaps.Load() == 0 {
-		t.Fatal("no epoch swap overlapped the readers; race window untested")
+	writerWG.Wait()
+	swapWG.Wait()
+	if !overlapped() {
+		t.Fatal("too few epoch swaps or deletes overlapped the readers; race window untested")
 	}
 }
 

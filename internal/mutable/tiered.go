@@ -3,22 +3,18 @@ package mutable
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/ivfpq"
-	"repro/internal/obs"
 	"repro/internal/tier"
 	"repro/internal/topk"
-	"repro/internal/vecmath"
 )
 
 // Tiered deployments serve each epoch's base out of core: compaction
 // writes the folded base as a cluster image file, strips the in-RAM
 // posting lists, and searches the base through an internal/tier store
-// (hot-set pinning, async prefetch, cold streaming) instead of a PIM
-// engine. The write overlay stays in RAM and merges exactly as in the
-// engine path, with the same fixed-scale quantized arithmetic on both
-// sides of the merge.
+// (hot-set pinning, async prefetch, cold streaming). The read path is
+// the in-RAM one; only snapshot.searchBase knows which executor an epoch
+// carries.
 //
 // Epoch lifetime is reference-counted: a snapshot is born holding the
 // publisher's reference, every reader pins it under the overlay read
@@ -37,7 +33,7 @@ type TierConfig struct {
 	Store tier.Config
 }
 
-// pin takes a reference on a tiered snapshot; no-op for engine
+// pin takes a reference on a tiered snapshot; no-op for in-RAM
 // snapshots. Callers must pin under the overlay read lock: publication
 // also holds the overlay lock, so a snapshot loaded and pinned there can
 // never have been retired in between.
@@ -68,8 +64,8 @@ func (s *snapshot) retire() { s.unpin() }
 // deployTiered turns a folded index into a tiered epoch snapshot: the
 // cluster payloads go to an image file, the in-RAM lists are stripped
 // (the quantizers stay — they are the compute state every epoch shares),
-// and a tier store is seeded with the epoch's placement frequencies so
-// its first hot set matches the observed workload.
+// and a tier store is seeded with the observed access frequencies so
+// its first hot set matches the workload.
 func deployTiered(ix *ivfpq.Index, freqs []float64, epoch uint64, tc *TierConfig) (*snapshot, error) {
 	dir := tc.Dir
 	if dir == "" {
@@ -120,75 +116,19 @@ func deployTiered(ix *ivfpq.Index, freqs []float64, epoch uint64, tc *TierConfig
 }
 
 // searchBase runs one base-epoch query on whichever executor the
-// snapshot carries: the tier store in tiered mode, the in-RAM host
-// kernels otherwise. Tiered callers must hold a pin.
-func (s *snapshot) searchBase(q []float32, o ivfpq.SearchOpts, cost *obs.Cost) ([]topk.Candidate, ivfpq.SearchStats, error) {
+// snapshot carries: the tier store in tiered mode, the in-RAM posting
+// lists otherwise — the same blocked ADC kernels either way. Tiered
+// callers must hold a pin.
+func (s *snapshot) searchBase(q []float32, o ivfpq.SearchOpts) ([]topk.Candidate, tier.SearchStats, error) {
 	if s.tix != nil {
-		cands, st, err := s.tix.Search(q, o)
-		cost.AddColdBytes(int64(st.ColdBytes))
-		return cands, st.SearchStats, err
+		return s.tix.Search(q, o)
 	}
 	cands, st := s.ix.Search(q, o)
-	return cands, st, nil
-}
-
-// searchTiered is the unfiltered read path of a tiered deployment. It is
-// structurally Search's swap-proof slow path: one overlay read lock
-// critical section loads and pins the epoch, copies the shadowing maps
-// and scans the overlay; then the pinned base streams through the tier
-// store lock-free — racing compactions can publish and retire epochs
-// freely, the pin keeps this one's image alive until the merge is done.
-func (u *UpdatableIndex) searchTiered(queries *vecmath.Matrix, probes [][]int32, k int, sl *obs.StageLog, cost *obs.Cost) ([][]topk.Candidate, error) {
-	u.mu.RLock()
-	snap := u.snap.Load()
-	snap.pin()
-	view := overlayView{
-		tombs:  make(map[int64]uint64, len(u.tombs)),
-		latest: make(map[int64]entryRef, len(u.latest)),
-	}
-	for id, s := range u.tombs {
-		view.tombs[id] = s
-	}
-	for id, r := range u.latest {
-		view.latest[id] = r
-	}
-	ovStart := time.Now()
-	view.cands = u.scanOverlay(snap, queries, probes, k, nil, cost)
-	sl.Record("mutable.overlay", ovStart,
-		obs.Int("pending", int64(u.logCount)), obs.Str("path", "tiered"))
-	u.mu.RUnlock()
-	defer snap.unpin()
-
-	baseStart := time.Now()
-	base := make([][]topk.Candidate, queries.Rows)
-	hot, cold, skipped := 0, 0, 0
-	for qi := 0; qi < queries.Rows; qi++ {
-		cands, st, err := snap.tix.Search(queries.Row(qi), ivfpq.SearchOpts{
-			NProbe: u.cfg.Engine.NProbe, K: k, Quantized: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		hot += st.HotClusters
-		cold += st.ColdClusters
-		skipped += st.SkippedClusters
-		cost.AddScan(int64(st.CodesScanned), int64(st.CodeBytes), int64(st.LUTEntries))
-		cost.AddColdBytes(int64(st.ColdBytes))
-		base[qi] = cands
-	}
-	sl.Record("mutable.base", baseStart,
-		obs.Int("epoch", int64(snap.epoch)), obs.Str("path", "tiered"),
-		obs.Int("hot_clusters", int64(hot)), obs.Int("cold_clusters", int64(cold)),
-		obs.Int("skipped_clusters", int64(skipped)))
-
-	mergeStart := time.Now()
-	out := mergeResults(&view, base, k)
-	sl.Record("mutable.merge", mergeStart)
-	return out, nil
+	return cands, tier.SearchStats{SearchStats: st}, nil
 }
 
 // TierStats snapshots the current epoch's tier store counters (nil for
-// engine deployments).
+// in-RAM deployments).
 func (u *UpdatableIndex) TierStats() *tier.Stats {
 	snap := u.snap.Load()
 	if snap.tix == nil {

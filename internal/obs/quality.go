@@ -443,14 +443,10 @@ func WilsonInterval(successes, trials int64, z float64) (lo, hi float64) {
 	den := 1 + z2/n
 	center := (p + z2/(2*n)) / den
 	half := (z / den) * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
+	// The interval contains the point estimate by construction; at p = 0
+	// and p = 1 the bound that should equal it lands one ulp inside.
+	lo, hi = min(center-half, p), max(center+half, p)
+	return max(lo, 0), min(hi, 1)
 }
 
 // wilsonZ is the default confidence factor (95%).

@@ -64,6 +64,9 @@ func TestWilsonIntervalGolden(t *testing.T) {
 		if lo < 0 || hi > 1 || lo > hi {
 			t.Errorf("Wilson(%d/%d) = (%.5f, %.5f) leaves [0,1] or inverts", c.successes, c.trials, lo, hi)
 		}
+		if p := float64(c.successes) / float64(c.trials); p < lo || p > hi {
+			t.Errorf("Wilson(%d/%d) = (%v, %v) excludes its own point estimate %v", c.successes, c.trials, lo, hi, p)
+		}
 	}
 	if lo, hi := WilsonInterval(0, 0, 1.96); lo != 0 || hi != 1 {
 		t.Errorf("no trials: got (%v, %v), want (0, 1)", lo, hi)

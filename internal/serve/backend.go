@@ -1,11 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"sync"
-
-	"repro/internal/core"
-	"repro/internal/multihost"
 	"repro/internal/mutable"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
@@ -19,9 +14,7 @@ import (
 // internal stages simply ignore opts.Stages. internal/mutable's
 // UpdatableIndex implements the full surface natively.
 //
-// Implementations must be safe for calls from a single worker goroutine;
-// the adapters below add a mutex so the same backend instance may also be
-// shared across servers.
+// Implementations must be safe for calls from a single worker goroutine.
 type Backend interface {
 	// Search returns opts.K candidates per query row, ascending distance.
 	Search(queries *vecmath.Matrix, opts mutable.SearchOpts) ([][]topk.Candidate, error)
@@ -29,77 +22,9 @@ type Backend interface {
 	Dim() int
 }
 
-// EngineBackend adapts a single-host core.Engine. Engine.SearchBatch
-// reuses per-DPU scratch across batches and is not reentrant, so the
-// adapter serializes access.
-type EngineBackend struct {
-	mu sync.Mutex
-	e  *core.Engine
-}
-
-// NewEngineBackend wraps e.
-func NewEngineBackend(e *core.Engine) *EngineBackend { return &EngineBackend{e: e} }
-
-// Dim returns the engine's index dimensionality.
-func (b *EngineBackend) Dim() int { return b.e.Index.Dim }
-
-// Search dispatches the batch to the engine and truncates to opts.K.
-// Filtered batches are unsupported.
-func (b *EngineBackend) Search(queries *vecmath.Matrix, opts mutable.SearchOpts) ([][]topk.Candidate, error) {
-	if opts.Pred != nil {
-		return nil, ErrFilterUnsupported
-	}
-	if opts.K > b.e.Cfg.K {
-		return nil, fmt.Errorf("serve: k %d exceeds engine K %d", opts.K, b.e.Cfg.K)
-	}
-	b.mu.Lock()
-	br, err := b.e.SearchBatch(queries)
-	b.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return truncate(br.Results, opts.K), nil
-}
-
-// ClusterBackend adapts a multihost.Cluster (which fans one batch out to
-// every host and merges), serialized for the same reason as
-// EngineBackend: each host engine reuses per-DPU scratch.
-type ClusterBackend struct {
-	mu sync.Mutex
-	cl *multihost.Cluster
-	k  int // the cluster's configured merge K
-}
-
-// NewClusterBackend wraps cl; mergeK is the cluster's configured
-// Engine.K (the deepest k it can answer).
-func NewClusterBackend(cl *multihost.Cluster, mergeK int) *ClusterBackend {
-	return &ClusterBackend{cl: cl, k: mergeK}
-}
-
-// Dim returns the cluster's query dimensionality.
-func (b *ClusterBackend) Dim() int { return b.cl.Hosts[0].Index.Dim }
-
-// Search dispatches the batch to every host and truncates the merged
-// results to opts.K. Filtered batches are unsupported.
-func (b *ClusterBackend) Search(queries *vecmath.Matrix, opts mutable.SearchOpts) ([][]topk.Candidate, error) {
-	if opts.Pred != nil {
-		return nil, ErrFilterUnsupported
-	}
-	if opts.K > b.k {
-		return nil, fmt.Errorf("serve: k %d exceeds cluster K %d", opts.K, b.k)
-	}
-	b.mu.Lock()
-	res, err := b.cl.SearchBatch(queries)
-	b.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return truncate(res.Results, opts.K), nil
-}
-
-// FuncBackend adapts a plain (queries, k) function; tests and synthetic
-// load drivers use it to exercise the scheduler without building an
-// engine. Filtered batches are unsupported.
+// FuncBackend adapts a plain (queries, k) function: tests exercise the
+// scheduler with it, and the serving bench and example put the paper's
+// simulated-DPU engine behind it. Filtered batches are unsupported.
 type FuncBackend struct {
 	D  int
 	Fn func(queries *vecmath.Matrix, k int) ([][]topk.Candidate, error)
@@ -114,14 +39,4 @@ func (b *FuncBackend) Search(queries *vecmath.Matrix, opts mutable.SearchOpts) (
 		return nil, ErrFilterUnsupported
 	}
 	return b.Fn(queries, opts.K)
-}
-
-// truncate trims every result list to at most k entries.
-func truncate(res [][]topk.Candidate, k int) [][]topk.Candidate {
-	for i, r := range res {
-		if len(r) > k {
-			res[i] = r[:k]
-		}
-	}
-	return res
 }

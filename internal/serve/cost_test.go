@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/ivfpq"
 	"repro/internal/mutable"
 	"repro/internal/obs"
@@ -117,5 +118,57 @@ func TestCostCacheHitEntries(t *testing.T) {
 	}
 	if hits != 0 {
 		t.Fatalf("zero-byte cache hits entered the heat ring: %+v", p.Top)
+	}
+}
+
+// TestCostFilteredEqualsUnfilteredScan pins "a predicate only prunes the
+// scan": the measured cost vector of an unfiltered query and of the same
+// query under an always-true pre-filter report the same code bytes.
+func TestCostFilteredEqualsUnfilteredScan(t *testing.T) {
+	const dim = 16
+	r := xrand.New(10)
+	base := vecmath.NewMatrix(2000, dim)
+	for i := range base.Data {
+		base.Data[i] = float32(r.NormFloat64())
+	}
+	ix := ivfpq.Train(base, ivfpq.Params{NList: 8, M: 4, KSub: 16, Seed: 7})
+	ix.Add(base, 0)
+
+	schema, err := filter.NewSchema(filter.Field{Name: "tenant", Type: filter.TInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mutable.ServingConfig(4, 10, 2, 1)
+	cfg.CheckInterval = -1
+	cfg.Schema = schema
+	u, err := mutable.New(ix, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	ids := make([]int64, base.Rows)
+	attrs := make([]filter.Attrs, base.Rows)
+	for i := range ids {
+		ids[i] = int64(i)
+		attrs[i] = filter.Attrs{"tenant": filter.IntValue(1)}
+	}
+	if err := u.LoadAttrs(ids, attrs); err != nil {
+		t.Fatal(err)
+	}
+	pred, err := filter.Parse(`tenant = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q := vecmath.WrapMatrix(base.Row(5), 1, dim)
+	var plain, filtered obs.Cost
+	if _, err := u.Search(q, mutable.SearchOpts{K: 10, Cost: &plain}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.Search(q, mutable.SearchOpts{K: 10, Pred: pred, Mode: filter.ModePre, Cost: &filtered}); err != nil {
+		t.Fatal(err)
+	}
+	if plain.CodeBytes == 0 || plain.CodeBytes != filtered.CodeBytes {
+		t.Fatalf("code bytes: unfiltered %d, always-true pre-filter %d", plain.CodeBytes, filtered.CodeBytes)
 	}
 }

@@ -1,20 +1,20 @@
-// Package serve is the online query-serving layer over the UpANNS engine:
-// it turns the batch-oriented search backends (core.Engine, or the
-// multi-host multihost.Cluster) into a concurrent request/response service
-// the way a production ANNS tier would front them.
+// Package serve is the online query-serving layer: it turns a
+// batch-oriented search backend (internal/mutable's UpdatableIndex) into
+// a concurrent request/response service the way a production ANNS tier
+// would front it.
 //
 // The paper's central observation — DPU throughput is only unlocked by
 // batched dispatch (Fig. 16: per-query cost falls steeply with batch
 // size) — becomes a serving-layer concern here: single-query requests
 // arriving concurrently are coalesced into micro-batches under a
-// max-batch-size / max-linger-time policy before they reach
-// Engine.SearchBatch. Three mechanisms cooperate:
+// max-batch-size / max-linger-time policy before they reach the
+// backend. Four mechanisms cooperate:
 //
 //   - micro-batching: a scheduler goroutine drains the admission queue
 //     into batches, dispatching when either MaxBatch requests are
 //     collected or MaxLinger has elapsed since the batch opened, whichever
 //     comes first. Lingering trades a bounded latency penalty on the first
-//     request of a batch for the amortization the DPUs need.
+//     request of a batch for the amortization batched scans need.
 //
 //   - admission control: the queue is bounded (QueueDepth); requests that
 //     find it full are shed immediately with ErrOverloaded rather than
@@ -26,11 +26,11 @@
 //     exploits the Zipf-skewed query popularity modelled in
 //     internal/workload — the same skew the paper measures per cluster in
 //     Fig. 4a. Hot queries repeat verbatim in real traffic, and an
-//     exact-match hit skips the engine entirely.
+//     exact-match hit skips the backend entirely.
 //
 //   - request coalescing: duplicate queries landing in the same
 //     micro-batch are dispatched as one backend row and fanned back out,
-//     so skewed traffic costs the engine its distinct queries only —
+//     so skewed traffic costs the backend its distinct queries only —
 //     an advantage batch-size-1 dispatch can never realize.
 //
 // Latency (admission to reply, including queue wait) is recorded in a

@@ -51,9 +51,8 @@ type Server struct {
 }
 
 // NewServer starts a server over the given backends: one worker goroutine
-// per backend, so parallelism equals the number of backend replicas (a
-// single engine admits no intra-batch concurrency — its per-DPU scratch
-// is reused across batches). All backends must share a dimensionality.
+// per backend, so parallelism equals the number of backend replicas.
+// All backends must share a dimensionality.
 func NewServer(cfg Config, backends ...Backend) (*Server, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("serve: NewServer needs at least one backend")
