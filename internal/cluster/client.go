@@ -282,64 +282,47 @@ func (s *shard) probeHealth(ctx context.Context) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// fetchStats GETs the shard's /stats payload raw (the router's
-// aggregated stats embeds it verbatim).
-// fetchSLO pulls one shard's GET /slo burn-rate snapshot for the
-// router's fleet rollup.
-func (s *shard) fetchSLO(ctx context.Context) (*obs.SLOSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/slo", nil)
+// fetch GETs path from the shard and decodes its JSON reply into out (a
+// *json.RawMessage keeps it verbatim) — the one way the router's fleet
+// roll-ups ask a shard for a snapshot.
+func (s *shard) fetch(ctx context.Context, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := s.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, &shardError{Status: resp.StatusCode, Msg: readErrorBody(resp.Body)}
+		return &shardError{Status: resp.StatusCode, Msg: readErrorBody(resp.Body)}
 	}
-	var snap obs.SLOSnapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	return json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(out)
 }
 
-// fetchQuality pulls one shard's GET /quality shadow-oracle snapshot for
-// the router's fleet quality rollup.
-func (s *shard) fetchQuality(ctx context.Context) (*obs.QualitySnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/quality", nil)
-	if err != nil {
-		return nil, err
+// gather fetches path from every healthy shard concurrently, bounding
+// the whole collection by timeout, and returns the replies by shard
+// index. Snapshots are best-effort: a shard that is unhealthy or does not
+// answer in time is nil.
+func gather[T any](ctx context.Context, r *Router, timeout time.Duration, path string) []*T {
+	out := make([]*T, len(r.shards))
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, s := range r.shards {
+		if !s.healthy.Load() {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := new(T)
+			if s.fetch(ctx, path, v) == nil {
+				out[i] = v
+			}
+		}()
 	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &shardError{Status: resp.StatusCode, Msg: readErrorBody(resp.Body)}
-	}
-	var snap obs.QualitySnapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
-func (s *shard) fetchStats(ctx context.Context) (json.RawMessage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &shardError{Status: resp.StatusCode, Msg: readErrorBody(resp.Body)}
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	wg.Wait()
+	return out
 }

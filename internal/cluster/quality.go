@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -39,27 +38,11 @@ func (r *Router) FleetQuality(ctx context.Context, timeout time.Duration) FleetQ
 		State:  "disabled",
 		Shards: make(map[string]obs.QualitySnapshot, len(r.shards)),
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, s := range r.shards {
-		if !s.healthy.Load() {
-			continue
+	for i, snap := range gather[obs.QualitySnapshot](ctx, r, timeout, "/quality") {
+		if snap != nil {
+			out.Shards[strconv.Itoa(i)] = *snap
 		}
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			snap, err := s.fetchQuality(ctx)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			out.Shards[strconv.Itoa(s.index)] = *snap
-			mu.Unlock()
-		}(s)
 	}
-	wg.Wait()
 	sampling := false
 	for _, snap := range out.Shards {
 		if snap.State == "disabled" {

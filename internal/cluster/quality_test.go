@@ -150,7 +150,7 @@ func TestFleetQualityDisabled(t *testing.T) {
 
 // TestQualitySchemaSharedAcrossTiers pins the JSON names the quality
 // surface shares between tiers: the shard /stats "quality" section is
-// what the router's aggregator decodes (summarizeShardQuality), the
+// what the router's aggregator decodes (Router.AggregatedStats), the
 // snapshot field names are what both tiers' /quality endpoints serve,
 // and the summary row names are what dashboards join on.
 func TestQualitySchemaSharedAcrossTiers(t *testing.T) {

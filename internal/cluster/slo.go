@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -36,27 +35,11 @@ func (r *Router) FleetSLO(ctx context.Context, timeout time.Duration) FleetSLO {
 		Router: r.cfg.SLO.Snapshot(),
 		Shards: make(map[string]obs.SLOSnapshot, len(r.shards)),
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, s := range r.shards {
-		if !s.healthy.Load() {
-			continue
+	for i, snap := range gather[obs.SLOSnapshot](ctx, r, timeout, "/slo") {
+		if snap != nil {
+			out.Shards[strconv.Itoa(i)] = *snap
 		}
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			snap, err := s.fetchSLO(ctx)
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			out.Shards[strconv.Itoa(s.index)] = *snap
-			mu.Unlock()
-		}(s)
 	}
-	wg.Wait()
 	out.State = out.Router.State
 	for _, snap := range out.Shards {
 		out.State = obs.WorseSLOState(out.State, snap.State)

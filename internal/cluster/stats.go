@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/filter"
@@ -173,78 +172,40 @@ type ShardQualityStat struct {
 }
 
 // AggregatedStats snapshots the router and fetches every shard's /stats
-// concurrently, bounding the whole collection by timeout.
+// concurrently, bounding the whole collection by timeout. The
+// cluster-wide sections are decoded from the payloads that arrived.
 func (r *Router) AggregatedStats(ctx context.Context, timeout time.Duration) AggregatedStats {
 	agg := AggregatedStats{
 		Router: r.Stats(),
 		Shards: make([]json.RawMessage, len(r.shards)),
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i, s := range r.shards {
-		if !s.healthy.Load() {
+	for i, raw := range gather[json.RawMessage](ctx, r, timeout, "/stats") {
+		if raw == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			if raw, err := s.fetchStats(ctx); err == nil {
-				agg.Shards[i] = raw
+		agg.Shards[i] = *raw
+		var sections struct {
+			Filter  *filter.StatsSnapshot `json:"filter"`
+			Quality *obs.QualitySnapshot  `json:"quality"`
+		}
+		if json.Unmarshal(*raw, &sections) != nil {
+			continue
+		}
+		if sections.Filter != nil {
+			if agg.Filter == nil {
+				agg.Filter = &filter.StatsSnapshot{}
 			}
-		}(i, s)
+			agg.Filter.Merge(sections.Filter)
+		}
+		if q := sections.Quality; q != nil {
+			agg.Quality = append(agg.Quality, ShardQualityStat{
+				ShardID:     q.ShardID,
+				State:       q.State,
+				Sampled:     q.Sampled,
+				Recall:      q.Recall.Estimate,
+				CIHalfWidth: (q.Recall.CIHigh - q.Recall.CILow) / 2,
+			})
+		}
 	}
-	wg.Wait()
-	agg.Filter = mergeShardFilterStats(agg.Shards)
-	agg.Quality = summarizeShardQuality(agg.Shards)
 	return agg
-}
-
-// summarizeShardQuality decodes the "quality" section of each shard's
-// /stats payload into the per-shard summary rows; nil when none carried
-// one.
-func summarizeShardQuality(raws []json.RawMessage) []ShardQualityStat {
-	var out []ShardQualityStat
-	for _, raw := range raws {
-		if raw == nil {
-			continue
-		}
-		var payload struct {
-			Quality *obs.QualitySnapshot `json:"quality"`
-		}
-		if json.Unmarshal(raw, &payload) != nil || payload.Quality == nil {
-			continue
-		}
-		q := payload.Quality
-		out = append(out, ShardQualityStat{
-			ShardID:     q.ShardID,
-			State:       q.State,
-			Sampled:     q.Sampled,
-			Recall:      q.Recall.Estimate,
-			CIHalfWidth: (q.Recall.CIHigh - q.Recall.CILow) / 2,
-		})
-	}
-	return out
-}
-
-// mergeShardFilterStats decodes the "filter" section of each shard's
-// /stats payload and sums them; nil when none carried one.
-func mergeShardFilterStats(raws []json.RawMessage) *filter.StatsSnapshot {
-	var merged *filter.StatsSnapshot
-	for _, raw := range raws {
-		if raw == nil {
-			continue
-		}
-		var payload struct {
-			Filter *filter.StatsSnapshot `json:"filter"`
-		}
-		if json.Unmarshal(raw, &payload) != nil || payload.Filter == nil {
-			continue
-		}
-		if merged == nil {
-			merged = &filter.StatsSnapshot{}
-		}
-		merged.Merge(payload.Filter)
-	}
-	return merged
 }

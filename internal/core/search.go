@@ -69,7 +69,7 @@ func (e *Engine) SearchBatch(queries *vecmath.Matrix) (*BatchResult, error) {
 	// ---- Stage (a): cluster filtering on the host ----
 	filtered := make([][]int32, nq)
 	for qi := 0; qi < nq; qi++ {
-		probes := e.Index.Coarse.Probe(queries.Row(qi), e.Cfg.NProbe)
+		probes, _ := e.Index.Coarse.ProbeInto(nil, nil, queries.Row(qi), e.Cfg.NProbe)
 		keep := probes[:0]
 		for _, c := range probes {
 			if e.clusters[c].nvec > 0 {

@@ -45,14 +45,9 @@ func (c *Coarse) AssignBatch(dst []int32, data *vecmath.Matrix) []int32 {
 	return dst
 }
 
-// Probe returns the nprobe nearest cluster ids for query, closest first.
-func (c *Coarse) Probe(query []float32, nprobe int) []int32 {
-	ids, _ := c.Centroids.TopNL2(query, nprobe)
-	return ids
-}
-
-// ProbeInto is Probe reusing caller-provided backing for the cluster ids
-// and the centroid-distance scratch (each grown only when capacity falls
+// ProbeInto returns the nprobe nearest cluster ids for query, closest
+// first, in caller-provided backing for the ids and the centroid-distance
+// scratch (either may be nil; each is grown only when capacity falls
 // short), so steady-state search paths probe without allocating. Both
 // slices are returned so the caller can retain the grown backing.
 func (c *Coarse) ProbeInto(ids []int32, ds []float32, query []float32, nprobe int) ([]int32, []float32) {

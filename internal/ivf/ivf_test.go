@@ -39,7 +39,7 @@ func TestProbeOrdering(t *testing.T) {
 	data := testData(2, 500, 4)
 	c := Train(data, 8, 2)
 	q := data.Row(0)
-	probes := c.Probe(q, 8)
+	probes, _ := c.ProbeInto(nil, nil, q, 8)
 	if len(probes) != 8 {
 		t.Fatalf("probe count %d", len(probes))
 	}
@@ -60,8 +60,8 @@ func TestProbeOrdering(t *testing.T) {
 func TestProbeClamped(t *testing.T) {
 	data := testData(3, 100, 4)
 	c := Train(data, 4, 3)
-	if got := len(c.Probe(data.Row(0), 100)); got != 4 {
-		t.Fatalf("probe returned %d, want 4", got)
+	if got, _ := c.ProbeInto(nil, nil, data.Row(0), 100); len(got) != 4 {
+		t.Fatalf("probe returned %d, want 4", len(got))
 	}
 }
 

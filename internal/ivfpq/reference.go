@@ -17,7 +17,7 @@ import (
 // production kernels.
 func (ix *Index) SearchReference(query []float32, o SearchOpts) ([]topk.Candidate, SearchStats) {
 	var st SearchStats
-	probes := ix.Coarse.Probe(query, o.NProbe)
+	probes, _ := ix.Coarse.ProbeInto(nil, nil, query, o.NProbe)
 	st.CentroidScans = ix.Coarse.NList()
 	st.ProbedClusters = len(probes)
 

@@ -39,7 +39,57 @@ type SearchOpts struct {
 	Scratch *Scratch
 }
 
-// Scratch is the preallocated working memory for one searcher goroutine.
+// Fold is a top-k heap with its acceptance threshold cached, so folding
+// a block of distances costs a compare per code and a heap call only per
+// accepted one. The skip condition replicates topk.Heap.Push's reject
+// case exactly.
+type Fold struct {
+	heap  topk.Heap
+	full  bool
+	worst float32
+}
+
+// Reset empties the fold and sets its depth to k. It panics if k <= 0
+// (matching topk.NewHeap).
+func (f *Fold) Reset(k int) {
+	f.heap.ResetK(k)
+	f.full = false
+}
+
+// AppendSorted appends the retained candidates to dst in ascending
+// distance order.
+func (f *Fold) AppendSorted(dst []topk.Candidate) []topk.Candidate {
+	return f.heap.AppendSorted(dst)
+}
+
+// push folds one block: dists[j] belongs to ids[j], or to ids[at[j]]
+// when at is non-nil. It returns how many candidates the heap retained.
+func (f *Fold) push(ids []int64, at []int32, dists []float32) int {
+	accepted := 0
+	for j, d := range dists {
+		if f.full && d >= f.worst {
+			continue
+		}
+		i := j
+		if at != nil {
+			i = int(at[j])
+		}
+		f.heap.Push(ids[i], d)
+		accepted++
+		if f.full = f.heap.Full(); f.full {
+			f.worst = f.heap.Worst()
+		}
+	}
+	return accepted
+}
+
+// Scratch is the preallocated working memory for one searcher goroutine
+// and the one place a probed cluster's payload is scored. Between Begin
+// and Finish it is a per-query scanner: Cluster names the probed cluster,
+// Scan and ScanAt are fed that cluster's (ids, codes) wherever they live
+// — posting lists, tier slabs or cold chunks, overlay logs — and build
+// the cluster's LUT on the first code that needs it, at most once.
+//
 // A single Scratch serves indexes of any shape — every buffer is grown on
 // first use and reused afterwards — but must not be shared concurrently.
 type Scratch struct {
@@ -51,42 +101,24 @@ type Scratch struct {
 	dists  []float32
 	qdists []uint32
 	at     []int32
-	heap   *topk.Heap
+	top    Fold
 	out    []topk.Candidate
+
+	// The query in flight and its current cluster.
+	ix        *Index
+	query     []float32
+	allow     func(id int64) bool
+	quantized bool
+	cluster   int32
+	haveLUT   bool
+	st        SearchStats
+	lutDur    time.Duration // LUT builds since Begin
+	scanDur   time.Duration // Scan/ScanAt wall time net of LUT builds
 }
 
 // NewScratch returns an empty Scratch; buffers are sized lazily by the
-// first Search that uses it.
+// first query that uses it.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// ensure sizes the buffers for ix. Cheap when already sized.
-func (s *Scratch) ensure(ix *Index, quantized bool) {
-	m := ix.PQ.M
-	if cap(s.resid) < ix.Dim {
-		s.resid = make([]float32, ix.Dim)
-	}
-	s.resid = s.resid[:ix.Dim]
-	if len(s.lut) != m*pq.CodebookSize {
-		s.lut = make(pq.LUT, m*pq.CodebookSize)
-	}
-	if quantized {
-		if len(s.qtab) != m*pq.CodebookSize {
-			s.qtab = make([]uint16, m*pq.CodebookSize)
-		}
-		if cap(s.qdists) < pq.ScanBlock {
-			s.qdists = make([]uint32, pq.ScanBlock)
-		}
-		s.qdists = s.qdists[:pq.ScanBlock]
-	} else {
-		if cap(s.dists) < pq.ScanBlock {
-			s.dists = make([]float32, pq.ScanBlock)
-		}
-		s.dists = s.dists[:pq.ScanBlock]
-	}
-	if cap(s.at) < pq.ScanBlock {
-		s.at = make([]int32, 0, pq.ScanBlock)
-	}
-}
 
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
@@ -103,158 +135,158 @@ func (ix *Index) Search(query []float32, o SearchOpts) ([]topk.Candidate, Search
 	s := o.Scratch
 	if s == nil {
 		s = scratchPool.Get().(*Scratch)
-		cands, st := ix.searchWith(query, o, s)
-		out := make([]topk.Candidate, len(cands))
-		copy(out, cands)
-		scratchPool.Put(s)
-		return out, st
+		defer scratchPool.Put(s)
 	}
-	return ix.searchWith(query, o, s)
+	s.Begin(ix, query, o)
+	for _, cl := range s.Probe(o.NProbe) {
+		s.Cluster(cl)
+		s.Scan(ix.Lists[cl].IDs, ix.Lists[cl].Codes)
+	}
+	cands, st := s.Finish()
+	if o.Scratch == nil {
+		cands = append([]topk.Candidate(nil), cands...)
+	}
+	return cands, st
 }
 
-func (ix *Index) searchWith(query []float32, o SearchOpts, s *Scratch) ([]topk.Candidate, SearchStats) {
-	var st SearchStats
-	s.ensure(ix, o.Quantized)
-	m := ix.PQ.M
-	scale := ix.QScale
-
-	s.probes, s.pdists = ix.Coarse.ProbeInto(s.probes, s.pdists, query, o.NProbe)
-	st.CentroidScans = ix.Coarse.NList()
-	st.ProbedClusters = len(s.probes)
-
-	if s.heap == nil {
-		s.heap = topk.NewHeap(o.K)
-	} else {
-		s.heap.ResetK(o.K)
+// Begin starts one query against ix: o.K is the depth of the scanner's
+// own heap, o.Allow and o.Quantized shape every Scan until Finish
+// (o.NProbe and o.Scratch are the caller's business). Buffers are sized
+// here; cheap when already sized.
+func (s *Scratch) Begin(ix *Index, query []float32, o SearchOpts) {
+	if cap(s.resid) < ix.Dim {
+		s.resid = make([]float32, ix.Dim)
 	}
-	heap := s.heap
+	s.resid = s.resid[:ix.Dim]
+	if n := ix.PQ.M * pq.CodebookSize; len(s.lut) != n {
+		s.lut, s.qtab = make(pq.LUT, n), make([]uint16, n)
+	}
+	if s.dists == nil {
+		s.dists, s.qdists = make([]float32, pq.ScanBlock), make([]uint32, pq.ScanBlock)
+		s.at = make([]int32, 0, pq.ScanBlock)
+	}
+	s.top.Reset(o.K)
+	s.ix, s.query, s.allow, s.quantized = ix, query, o.Allow, o.Quantized
+	s.st = SearchStats{}
+	s.lutDur, s.scanDur = 0, 0
+}
 
-	// full/worst cache the heap's acceptance threshold so the fold loops
-	// below stay branch-plus-rare-call instead of a method call per
-	// scanned vector. The skip condition replicates Heap.Push's reject
-	// case exactly.
-	full := false
-	var worst float32
+// Probe runs cluster filtering for the query in flight and returns the
+// nprobe nearest clusters, closest first (clamped to NList; <= 0 probes
+// nothing). The slice aliases the scratch.
+func (s *Scratch) Probe(nprobe int) []int32 {
+	s.probes, s.pdists = s.ix.Coarse.ProbeInto(s.probes, s.pdists, s.query, nprobe)
+	s.st.CentroidScans = s.ix.Coarse.NList()
+	s.st.ProbedClusters = len(s.probes)
+	return s.probes
+}
 
-	scanStart := time.Now()
-	var lutDur time.Duration
-	for _, cl := range s.probes {
-		list := &ix.Lists[cl]
-		n := list.Len()
-		if n == 0 {
+// Cluster makes cl the cluster the following Scan/ScanAt calls belong
+// to. Its LUT is built lazily: a probed cluster none of whose codes
+// reaches the kernels — empty, or fully disallowed — never pays LUT
+// construction at all.
+func (s *Scratch) Cluster(cl int32) {
+	s.cluster, s.haveLUT = cl, false
+}
+
+// Scan scores a run of the current cluster's payload — ids and their
+// flattened M-byte codes, a whole list or one streamed chunk — into the
+// scanner's own heap, pq.ScanBlock codes at a time. With an allow
+// predicate it first collects each block's allowed positions, then
+// gather-scans their codes in one sweep.
+func (s *Scratch) Scan(ids []int64, codes []uint8) {
+	start, lut0 := time.Now(), s.lutDur
+	m := s.ix.PQ.M
+	for base := 0; base < len(ids); base += pq.ScanBlock {
+		bn := min(pq.ScanBlock, len(ids)-base)
+		bids, bcodes := ids[base:base+bn], codes[base*m:(base+bn)*m]
+		if s.allow == nil {
+			s.score(&s.top, bids, bcodes, nil)
 			continue
 		}
-		haveLUT := false
-		buildLUT := func() {
-			lutStart := time.Now()
-			ix.Coarse.Residual(s.resid, query, cl)
-			ix.PQ.BuildLUTInto(s.lut, s.resid)
-			if o.Quantized {
-				pq.QuantizeWithScaleInto(s.qtab, s.lut, scale)
+		at := s.at[:0]
+		for i, id := range bids {
+			if !s.allow(id) {
+				s.st.CodesFiltered++
+				continue
 			}
-			lutDur += time.Since(lutStart)
-			st.LUTEntries += ix.PQ.M * ix.PQ.KSub
-			haveLUT = true
+			at = append(at, int32(i))
 		}
-		if o.Allow == nil {
-			buildLUT()
-		}
-		for base := 0; base < n; base += pq.ScanBlock {
-			bn := n - base
-			if bn > pq.ScanBlock {
-				bn = pq.ScanBlock
-			}
-			ids := list.IDs[base : base+bn]
-			codes := list.Codes[base*m : (base+bn)*m]
-			scanned := bn
-			if o.Allow != nil {
-				// Fused filter pass: collect the block's allowed
-				// positions, then gather-scan their codes in one sweep.
-				at := s.at[:0]
-				for i, id := range ids {
-					if !o.Allow(id) {
-						st.CodesFiltered++
-						continue
-					}
-					at = append(at, int32(base+i))
-				}
-				s.at = at[:0]
-				if len(at) == 0 {
-					continue
-				}
-				if !haveLUT {
-					buildLUT()
-				}
-				scanned = len(at)
-				if o.Quantized {
-					qd := s.qdists[:scanned]
-					pq.ScanQDistsAt(qd, s.qtab, list.Codes, m, at)
-					for j, d := range qd {
-						var f float32
-						if scale != 0 {
-							f = float32(d) / scale
-						}
-						if full && f >= worst {
-							continue
-						}
-						heap.Push(list.IDs[at[j]], f)
-						st.HeapAccepted++
-						if full = heap.Full(); full {
-							worst = heap.Worst()
-						}
-					}
-				} else {
-					bd := s.dists[:scanned]
-					pq.ScanDistsAt(bd, s.lut, list.Codes, m, at)
-					for j, d := range bd {
-						if full && d >= worst {
-							continue
-						}
-						heap.Push(list.IDs[at[j]], d)
-						st.HeapAccepted++
-						if full = heap.Full(); full {
-							worst = heap.Worst()
-						}
-					}
-				}
-			} else if o.Quantized {
-				qd := s.qdists[:bn]
-				pq.ScanQDists(qd, s.qtab, codes, m)
-				for i, d := range qd {
-					var f float32
-					if scale != 0 {
-						f = float32(d) / scale
-					}
-					if full && f >= worst {
-						continue
-					}
-					heap.Push(ids[i], f)
-					st.HeapAccepted++
-					if full = heap.Full(); full {
-						worst = heap.Worst()
-					}
-				}
-			} else {
-				bd := s.dists[:bn]
-				pq.ScanDists(bd, s.lut, codes, m)
-				for i, d := range bd {
-					if full && d >= worst {
-						continue
-					}
-					heap.Push(ids[i], d)
-					st.HeapAccepted++
-					if full = heap.Full(); full {
-						worst = heap.Worst()
-					}
-				}
-			}
-			st.CodesScanned += scanned
-			st.CodeBytes += scanned * m
-			st.HeapPushes += scanned
+		if len(at) > 0 {
+			s.score(&s.top, bids, bcodes, at)
 		}
 	}
-	obs.Kernel.RecordScan(st.CodeBytes, st.CodesScanned, time.Since(scanStart)-lutDur)
-	obs.Kernel.RecordLUT(st.LUTEntries, lutDur)
-	s.out = heap.AppendSorted(s.out[:0])
-	return s.out, st
+	s.scanDur += time.Since(start) - (s.lutDur - lut0)
+}
+
+// ScanAt scores the codes at positions at of the current cluster's
+// (ids, codes) arrays into f — a caller-owned heap sharing the cluster's
+// LUT with Scan. The positions are the caller's selection; the allow
+// predicate is not applied.
+func (s *Scratch) ScanAt(f *Fold, ids []int64, codes []uint8, at []int32) {
+	start, lut0 := time.Now(), s.lutDur
+	for lo := 0; lo < len(at); lo += pq.ScanBlock {
+		s.score(f, ids, codes, at[lo:min(lo+pq.ScanBlock, len(at))])
+	}
+	s.scanDur += time.Since(start) - (s.lutDur - lut0)
+}
+
+// score runs the ADC kernel over one block of at most pq.ScanBlock codes
+// — all of codes when at is nil, the gathered positions otherwise — and
+// folds the distances into f. Quantized sums map back through the
+// index's QScale before the fold, so both arithmetic modes share it.
+func (s *Scratch) score(f *Fold, ids []int64, codes []uint8, at []int32) {
+	if !s.haveLUT {
+		lutStart := time.Now()
+		s.ix.Coarse.Residual(s.resid, s.query, s.cluster)
+		s.ix.PQ.BuildLUTInto(s.lut, s.resid)
+		if s.quantized {
+			pq.QuantizeWithScaleInto(s.qtab, s.lut, s.ix.QScale)
+		}
+		s.lutDur += time.Since(lutStart)
+		s.st.LUTEntries += s.ix.PQ.M * s.ix.PQ.KSub
+		s.haveLUT = true
+	}
+	m := s.ix.PQ.M
+	n := len(ids)
+	if at != nil {
+		n = len(at)
+	}
+	bd := s.dists[:n]
+	switch {
+	case s.quantized:
+		qd := s.qdists[:n]
+		if at == nil {
+			pq.ScanQDists(qd, s.qtab, codes, m)
+		} else {
+			pq.ScanQDistsAt(qd, s.qtab, codes, m, at)
+		}
+		scale := s.ix.QScale
+		for j, d := range qd {
+			bd[j] = 0
+			if scale != 0 {
+				bd[j] = float32(d) / scale
+			}
+		}
+	case at == nil:
+		pq.ScanDists(bd, s.lut, codes, m)
+	default:
+		pq.ScanDistsAt(bd, s.lut, codes, m, at)
+	}
+	s.st.HeapAccepted += f.push(ids, at, bd)
+	s.st.CodesScanned += n
+	s.st.CodeBytes += n * m
+	s.st.HeapPushes += n
+}
+
+// Finish ends the query: it feeds the kernel bandwidth counters and
+// returns the scanner's own top-K in ascending distance order plus the
+// work counters of everything scored since Begin. The candidates alias
+// the scratch (valid until its next use).
+func (s *Scratch) Finish() ([]topk.Candidate, SearchStats) {
+	obs.Kernel.RecordScan(s.st.CodeBytes, s.st.CodesScanned, s.scanDur)
+	obs.Kernel.RecordLUT(s.st.LUTEntries, s.lutDur)
+	s.ix, s.query, s.allow = nil, nil, nil
+	s.out = s.top.AppendSorted(s.out[:0])
+	return s.out, s.st
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/tier"
 )
 
 // This file implements epoch compaction: folding the write overlay into a
@@ -136,37 +137,25 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 	newIx := fc.snap.ix.CloneStructure()
 	folded := uint64(0)
 	for c := 0; c < u.nlist; c++ {
-		if fc.snap.tix != nil {
-			err := fc.snap.tix.Store().ScanCluster(int32(c), func(ids []int64, codes []uint8) error {
-				for i, id := range ids {
-					if _, dead := fc.tombs[id]; dead {
-						continue
-					}
-					if _, shadowed := fc.latest[id]; shadowed {
-						continue
-					}
-					newIx.AppendEncoded(int32(c), id, codes[i*m:(i+1)*m])
-				}
-				return nil
-			})
-			if err != nil {
-				u.compactErrs.Add(1)
-				obs.Flight.Record("compaction_error",
-					obs.Int("epoch", int64(fc.snap.epoch)), obs.Str("stage", "fold"), obs.Str("err", err.Error()))
-				return false, fmt.Errorf("mutable: folding tiered cluster %d of epoch %d: %w", c, fc.snap.epoch, err)
-			}
-		} else {
-			base := &fc.snap.ix.Lists[c]
-			for i := 0; i < base.Len(); i++ {
-				id := base.IDs[i]
+		survivors := func(ids []int64, codes []uint8) error {
+			for i, id := range ids {
 				if _, dead := fc.tombs[id]; dead {
 					continue
 				}
 				if _, shadowed := fc.latest[id]; shadowed {
 					continue
 				}
-				newIx.AppendEncoded(int32(c), id, base.Code(i, m))
+				newIx.AppendEncoded(int32(c), id, codes[i*m:(i+1)*m])
 			}
+			return nil
+		}
+		if fc.snap.tix == nil {
+			survivors(fc.snap.ix.Lists[c].IDs, fc.snap.ix.Lists[c].Codes)
+		} else if _, err := fc.snap.tix.Store().ScanCluster(int32(c), tier.FoldChunk, survivors); err != nil {
+			u.compactErrs.Add(1)
+			obs.Flight.Record("compaction_error",
+				obs.Int("epoch", int64(fc.snap.epoch)), obs.Str("stage", "fold"), obs.Str("err", err.Error()))
+			return false, fmt.Errorf("mutable: folding tiered cluster %d of epoch %d: %w", c, fc.snap.epoch, err)
 		}
 		lg := &fc.logs[c]
 		for i := 0; i < fc.logLens[c]; i++ {

@@ -14,13 +14,13 @@
 //
 //   - Every read — plain, tiered, filtered, shadow-oracle — runs one
 //     sequence: coarse probe, one consistent (epoch, overlay) cut under
-//     the overlay read lock, a lock-free scan of the captured epoch's
-//     base by the native ADC kernels (ivfpq.Index.Search, or
-//     tier.Index.Search out of core), merge. Overlay entries are scored
-//     with the same fixed-scale quantized-LUT arithmetic, tombstones
-//     filter dead ids, and newer log versions shadow their base copies,
-//     so inserts and deletes are visible immediately, not at the next
-//     compaction.
+//     the overlay read lock, one lock-free scan on the ivfpq scanner,
+//     merge. Per probed cluster the scanner folds the captured epoch's
+//     base payload (posting list, or tier store out of core) and the
+//     cluster's live log entries off one fixed-scale quantized LUT;
+//     tombstones filter dead ids, and newer log versions shadow their
+//     base copies, so inserts and deletes are visible immediately, not at
+//     the next compaction.
 //
 //   - A background compactor watches the pending-log and tombstone
 //     ratios and, when either crosses its threshold, folds the overlay

@@ -7,6 +7,8 @@ import (
 	"repro/internal/filter"
 	"repro/internal/ivfpq"
 	"repro/internal/mutable"
+	"repro/internal/obs"
+	"repro/internal/topk"
 	"repro/internal/vecmath"
 	"repro/internal/xrand"
 )
@@ -319,5 +321,80 @@ func TestFilteredPartiallyTaggedCorpus(t *testing.T) {
 	st := u.FilterStats()
 	if st.PreDecisions != 1 || st.PostDecisions != 0 {
 		t.Fatalf("planner chose %d pre / %d post; corpus-level selectivity must plan pre", st.PreDecisions, st.PostDecisions)
+	}
+}
+
+// TestPendingWritesShareClusterLUT pins "one LUT per (query, probed
+// cluster)": live log entries in probed clusters are scored off the LUT
+// the base scan of that cluster built, so a read's LUT bytes do not depend
+// on what is pending — and a log entry whose cluster's base list is fully
+// disallowed still gets the (lazily built) LUT it needs.
+func TestPendingWritesShareClusterLUT(t *testing.T) {
+	const n, m, nprobe = 2000, 4, 4
+	data := gaussMatrix(n, testDim, 11)
+	ix := ivfpq.Train(data, ivfpq.Params{NList: testNList, M: m, Seed: 7})
+	ix.Add(data, 0)
+	for c, sz := range ix.ListSizes() {
+		if sz == 0 {
+			t.Fatalf("cluster %d is empty; the test wants every probed cluster non-empty", c)
+		}
+	}
+	cfg := mutable.ServingConfig(nprobe, 10, 4, 1)
+	cfg.CheckInterval = -1
+	cfg.Schema = filteredSchema(t)
+	u, err := mutable.New(ix, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+
+	const lutBytes = m * 256 * 6 // float32 entry + its uint16 quantization
+	q := vecmath.WrapMatrix(data.Row(5), 1, testDim)
+	read := func(o mutable.SearchOpts) (obs.Cost, []topk.Candidate) {
+		t.Helper()
+		var c obs.Cost
+		o.K, o.Cost = 10, &c
+		res, err := u.Search(q, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, res[0]
+	}
+	empty, _ := read(mutable.SearchOpts{})
+	if empty.LUTBytes != nprobe*lutBytes || empty.OverlayCodes != 0 {
+		t.Fatalf("empty-overlay read: %d LUT bytes, %d overlay codes; want %d, 0", empty.LUTBytes, empty.OverlayCodes, nprobe*lutBytes)
+	}
+
+	// Pending writes around the query land in the clusters it probes.
+	near := queriesFrom(q, 40, 3)
+	for i := 0; i < near.Rows; i++ {
+		if err := u.InsertWithAttrs(int64(n+i), near.Row(i), filter.Attrs{"tenant": filter.IntValue(9)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending, _ := read(mutable.SearchOpts{})
+	if pending.OverlayCodes == 0 {
+		t.Fatal("no pending entry fell in a probed cluster")
+	}
+	if pending.LUTBytes != empty.LUTBytes {
+		t.Fatalf("read with %d pending entries in probed clusters built %d LUT bytes, empty-overlay read %d",
+			pending.OverlayCodes, pending.LUTBytes, empty.LUTBytes)
+	}
+
+	// No base vector carries tenant 9: every probed base list is fully
+	// disallowed and builds nothing, yet the clusters holding the tagged
+	// log entries still build theirs, once each.
+	filtered, hits := read(mutable.SearchOpts{Pred: parsePred(t, `tenant = 9`), Mode: filter.ModePre})
+	if len(hits) != 10 {
+		t.Fatalf("pre-filtered read over pending entries returned %d hits, want 10", len(hits))
+	}
+	for _, h := range hits {
+		if h.ID < n {
+			t.Fatalf("untagged base id %d passed the filter", h.ID)
+		}
+	}
+	if filtered.CodesScanned != filtered.OverlayCodes || filtered.LUTBytes == 0 ||
+		filtered.LUTBytes%lutBytes != 0 || filtered.LUTBytes > nprobe*lutBytes {
+		t.Fatalf("fully-disallowed base: cost %+v, want only overlay codes scanned off 1..%d LUTs", filtered, nprobe)
 	}
 }

@@ -124,7 +124,8 @@ func TestSearchMatchesEngine(t *testing.T) {
 				want = append(want, c)
 			}
 		}
-		for _, cl := range ix.Coarse.Probe(queries.Row(qi), cfg.Engine.NProbe) {
+		probes, _ := ix.Coarse.ProbeInto(nil, nil, queries.Row(qi), cfg.Engine.NProbe)
+		for _, cl := range probes {
 			ix.Coarse.Residual(resid, queries.Row(qi), cl)
 			ql := ix.PQ.QuantizeWithScale(ix.PQ.BuildLUT(resid), ix.QScale)
 			for id, e := range overlay {

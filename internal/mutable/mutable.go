@@ -12,7 +12,6 @@ import (
 	"repro/internal/ivfpq"
 	"repro/internal/obs"
 	"repro/internal/pim"
-	"repro/internal/pq"
 	"repro/internal/tier"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
@@ -441,23 +440,23 @@ type SearchOpts struct {
 // allow predicate (plan.Mode == filter.ModePre) or checked against the
 // plan.FetchK candidates the base returns (filter.ModePost).
 type baseRead struct {
-	k      int
-	nprobe int
-	match  func(int64) bool
-	plan   filter.Plan
+	k     int
+	match func(int64) bool
+	plan  filter.Plan
+	// live marks the serving read, whose probes steer a tiered epoch's
+	// residency (rebalance counters, prefetch); the shadow oracle's do not.
+	live bool
 }
 
 // Search answers one batch against the current epoch merged with the
 // write overlay. Every query shape runs the same sequence: coarse probe,
-// one consistent (epoch, overlay) cut, base scan on the native ADC
-// kernels, merge. Base and overlay are both scored with the index's
-// fixed-scale quantized-LUT arithmetic, so their distances are directly
-// comparable. It satisfies serve.Backend.
+// one consistent (epoch, overlay) cut, one scan of base and overlay on
+// the native ADC kernels, merge. It satisfies serve.Backend.
 func (u *UpdatableIndex) Search(queries *vecmath.Matrix, o SearchOpts) ([][]topk.Candidate, error) {
 	if queries.Dim != u.dim {
 		return nil, fmt.Errorf("mutable: query dim %d != index dim %d", queries.Dim, u.dim)
 	}
-	rd := baseRead{k: o.K, nprobe: u.cfg.Engine.NProbe, plan: filter.Plan{FetchK: o.K}}
+	rd := baseRead{k: o.K, live: true, plan: filter.Plan{FetchK: o.K}}
 	if o.Pred == nil {
 		if o.K <= 0 || o.K > u.cfg.Engine.K {
 			return nil, fmt.Errorf("mutable: k %d outside (0, %d]", o.K, u.cfg.Engine.K)
@@ -466,35 +465,35 @@ func (u *UpdatableIndex) Search(queries *vecmath.Matrix, o SearchOpts) ([][]topk
 		return nil, err
 	}
 
-	// Cluster filtering once per query: the coarse quantizer is shared by
+	// Cluster filtering, once per query: the coarse quantizer is shared by
 	// every epoch, so probes are epoch-independent. The probe counters
 	// seed the next tiered epoch's hot set.
+	sc := readPool.Get().(*readScratch)
+	defer readPool.Put(sc)
 	probeStart := time.Now()
-	probes := make([][]int32, queries.Rows)
-	coarse := u.snap.Load().ix.Coarse
-	for qi := range probes {
-		probes[qi] = coarse.Probe(queries.Row(qi), rd.nprobe)
-		for _, c := range probes[qi] {
-			u.acc[c].Add(1)
-		}
+	sc.probe(u.snap.Load().ix, queries, u.cfg.Engine.NProbe)
+	for _, c := range sc.probes {
+		u.acc[c].Add(1)
 	}
 	o.Stages.Record("mutable.probe", probeStart,
-		obs.Int("queries", int64(queries.Rows)), obs.Int("nprobe", int64(rd.nprobe)))
-	return u.read(queries, probes, rd, o.Stages, o.Cost)
+		obs.Int("queries", int64(queries.Rows)), obs.Int("nprobe", int64(u.cfg.Engine.NProbe)))
+	return u.read(sc, queries, rd, o.Stages, o.Cost)
 }
 
-// read is the one read sequence behind Search and SearchOracle.
+// read is the one read sequence behind Search and SearchOracle, over the
+// probes already in sc.
 //
 // Consistency: one read-lock critical section loads and pins the epoch,
 // takes the write-sequence watermark and gathers the live overlay
-// entries (scored after it, off their append-only logs). Epoch publication swaps the snapshot and truncates the
-// folded overlay under the write lock, so the captured (epoch, overlay)
-// pair is consistent; the captured epoch is immutable, so its base is then
-// scanned lock-free while compactions publish and retire epochs freely
+// entries (scored after it, off their append-only logs). Epoch
+// publication swaps the snapshot and truncates the folded overlay under
+// the write lock, so the captured (epoch, overlay) pair is consistent;
+// the captured epoch is immutable, so it is then scanned lock-free (see
+// scan) while compactions publish and retire epochs freely
 // (the pin keeps a tiered epoch's image alive until the merge is done).
 // The merge drops the base hits the cut's shadow map had killed by the
 // watermark — a handful of lookups per query, however many writes are
-// pending — so writes and publications that land during the base scan
+// pending — so writes and publications that land during the scan
 // change nothing the read returns.
 //
 // Fetch depth: the base is asked for max(plan.FetchK, Engine.K)
@@ -502,7 +501,7 @@ func (u *UpdatableIndex) Search(queries *vecmath.Matrix, o SearchOpts) ([][]topk
 // scan's own top-k selection, and the slack Engine.K carries over the
 // serving k (see ServingConfig) keeps a delete from shrinking result
 // sets between compactions — on every query shape.
-func (u *UpdatableIndex) read(queries *vecmath.Matrix, probes [][]int32, rd baseRead, sl *obs.StageLog, cost *obs.Cost) ([][]topk.Candidate, error) {
+func (u *UpdatableIndex) read(sc *readScratch, queries *vecmath.Matrix, rd baseRead, sl *obs.StageLog, cost *obs.Cost) ([][]topk.Candidate, error) {
 	// The read lock orders this search against epoch publication; a
 	// compaction publishing right now holds the write lock, so this wait
 	// IS the compaction pause a reader experiences.
@@ -514,33 +513,21 @@ func (u *UpdatableIndex) read(queries *vecmath.Matrix, probes [][]int32, rd base
 	defer snap.unpin()
 	view := overlayView{seq: u.seq, shadow: u.shadow}
 	ovStart, pending := time.Now(), u.logCount
-	sc := overlayPool.Get().(*overlayScratch)
-	u.gatherOverlay(sc, probes, rd.match)
+	u.gatherOverlay(sc, queries.Rows, rd.match)
 	u.mu.RUnlock()
-	view.cands = u.scoreOverlay(sc, snap, queries, rd.k, cost)
-	overlayPool.Put(sc)
 	sl.Record("mutable.overlay", ovStart, obs.Int("pending", int64(pending)))
 
-	pre := rd.plan.Mode == filter.ModePre
-	bo := ivfpq.SearchOpts{NProbe: rd.nprobe, K: max(rd.plan.FetchK, u.cfg.Engine.K), Quantized: true}
-	if pre {
-		bo.Allow = rd.match
-	}
 	baseStart := time.Now()
-	var st tier.SearchStats
+	base, live, st, err := u.scan(sc, snap, queries, rd)
+	clear(sc.runs) // drop the log arrays before pooling
+	if err != nil {
+		return nil, err
+	}
+	view.cands = live
+	pre := rd.plan.Mode == filter.ModePre
 	kept, fetched := 0, 0
-	base := make([][]topk.Candidate, queries.Rows)
-	for qi := range base {
-		cands, s, err := snap.searchBase(queries.Row(qi), bo)
-		if err != nil {
-			return nil, err
-		}
-		st.SearchStats.Add(s.SearchStats)
-		st.HotClusters += s.HotClusters
-		st.ColdClusters += s.ColdClusters
-		st.SkippedClusters += s.SkippedClusters
-		st.ColdBytes += s.ColdBytes
-		if rd.plan.Mode == filter.ModePost {
+	if rd.plan.Mode == filter.ModePost {
+		for qi, cands := range base {
 			fetched += len(cands)
 			n := 0
 			for _, c := range cands {
@@ -549,12 +536,12 @@ func (u *UpdatableIndex) read(queries *vecmath.Matrix, probes [][]int32, rd base
 					n++
 				}
 			}
-			cands = cands[:n]
+			base[qi] = cands[:n]
 			kept += n
 		}
-		base[qi] = cands
 	}
 	cost.AddScan(int64(st.CodesScanned), int64(st.CodeBytes), int64(st.LUTEntries))
+	cost.AddOverlay(int64(len(sc.at)))
 	cost.AddColdBytes(int64(st.ColdBytes))
 	if sl != nil {
 		attrs := []obs.Attr{obs.Int("epoch", int64(snap.epoch)), obs.Int("codes_scanned", int64(st.CodesScanned))}
@@ -563,13 +550,14 @@ func (u *UpdatableIndex) read(queries *vecmath.Matrix, probes [][]int32, rd base
 				obs.Int("cold_clusters", int64(st.ColdClusters)), obs.Int("skipped_clusters", int64(st.SkippedClusters)))
 		}
 		if rd.match != nil {
-			// The selectivity the scan actually saw next to the estimate
-			// the plan was made on: the fraction of visited codes that
-			// passed the pushed-down predicate, or of fetched candidates
-			// that passed the tag check.
+			// The selectivity the base scan actually saw next to the
+			// estimate the plan was made on: the fraction of visited base
+			// codes that passed the pushed-down predicate, or of fetched
+			// candidates that passed the tag check.
 			actual := rd.plan.Selectivity
-			if visited := st.CodesScanned + st.CodesFiltered; pre && visited > 0 {
-				actual = float64(st.CodesScanned) / float64(visited)
+			scanned := st.CodesScanned - len(sc.at)
+			if visited := scanned + st.CodesFiltered; pre && visited > 0 {
+				actual = float64(scanned) / float64(visited)
 			} else if !pre && fetched > 0 {
 				actual = float64(kept) / float64(fetched)
 			}
@@ -587,6 +575,50 @@ func (u *UpdatableIndex) read(queries *vecmath.Matrix, probes [][]int32, rd base
 	u.mu.RUnlock()
 	sl.Record("mutable.merge", mergeStart)
 	return out, nil
+}
+
+// scan scores one read's cut on the ivfpq scanner, query by query and
+// probed cluster by probed cluster: the epoch's base payload — posting
+// list, or tier store out of core — folds into the scanner's heap, and
+// the cluster's gathered live log entries fold into the overlay heap off
+// the same LUT, so base and overlay distances share one fixed-scale
+// quantized arithmetic and a cluster costs one LUT whatever is pending in
+// it. Only a live read hints the tier store about its probes. It needs
+// no lock; tiered callers must hold a pin.
+func (u *UpdatableIndex) scan(sc *readScratch, snap *snapshot, queries *vecmath.Matrix, rd baseRead) (base, live [][]topk.Candidate, st tier.SearchStats, err error) {
+	bo := ivfpq.SearchOpts{K: max(rd.plan.FetchK, u.cfg.Engine.K), Quantized: true}
+	if rd.plan.Mode == filter.ModePre {
+		bo.Allow = rd.match
+	}
+	base = make([][]topk.Candidate, queries.Rows)
+	live = make([][]topk.Candidate, queries.Rows)
+	s, runs := sc.scan, sc.runs
+	for qi := range base {
+		probes := sc.probesOf(qi)
+		s.Begin(snap.ix, queries.Row(qi), bo)
+		sc.live.Reset(rd.k)
+		if rd.live && snap.tix != nil {
+			snap.tix.Store().Hint(probes)
+		}
+		for _, cl := range probes {
+			s.Cluster(cl)
+			if snap.tix == nil {
+				s.Scan(snap.ix.Lists[cl].IDs, snap.ix.Lists[cl].Codes)
+			} else if err = snap.tix.ScanCluster(s, cl, &st); err != nil {
+				return nil, nil, st, err
+			}
+			if len(runs) > 0 && runs[0].query == qi && runs[0].cluster == cl {
+				r := &runs[0]
+				s.ScanAt(&sc.live, r.ids, r.codes, sc.at[r.lo:r.hi])
+				runs = runs[1:]
+			}
+		}
+		cands, scanned := s.Finish()
+		st.SearchStats.Add(scanned)
+		base[qi] = append([]topk.Candidate(nil), cands...)
+		live[qi] = sc.live.AppendSorted(nil)
+	}
+	return base, live, st, nil
 }
 
 // overlayView is the consistent cut of the overlay one read captures: the
@@ -611,43 +643,48 @@ type overlayRun struct {
 	lo, hi  int
 }
 
-// overlayScratch is the pooled working memory of one overlay scan: the
-// gathered runs and their positions, residual, float LUT, fixed-scale
-// quantized table, and one block of distances.
-type overlayScratch struct {
+// readScratch is the pooled working memory of one read: the batch's
+// probe lists (np per query, flat), the overlay runs gathered for them
+// with their positions, and the scanner with the overlay-side heap.
+type readScratch struct {
+	np     int
+	probes []int32
+	pdists []float32
 	runs   []overlayRun
 	at     []int32
-	resid  []float32
-	lut    pq.LUT
-	qtab   []uint16
-	qdists []uint32
+	scan   *ivfpq.Scratch
+	live   ivfpq.Fold
 }
 
-var overlayPool = sync.Pool{New: func() any { return &overlayScratch{} }}
+var readPool = sync.Pool{New: func() any { return &readScratch{scan: ivfpq.NewScratch()} }}
 
-func (s *overlayScratch) ensure(dim, m int) {
-	if cap(s.resid) < dim {
-		s.resid = make([]float32, dim)
+// probe runs cluster filtering for every query of the batch; each
+// query's slot has capacity exactly np, so ProbeInto fills it in place.
+func (sc *readScratch) probe(ix *ivfpq.Index, queries *vecmath.Matrix, nprobe int) {
+	sc.np = max(0, min(nprobe, ix.NList()))
+	if n := queries.Rows * sc.np; cap(sc.probes) < n {
+		sc.probes = make([]int32, n)
 	}
-	s.resid = s.resid[:dim]
-	if len(s.lut) != m*pq.CodebookSize {
-		s.lut = make(pq.LUT, m*pq.CodebookSize)
-		s.qtab = make([]uint16, m*pq.CodebookSize)
-	}
-	if len(s.qdists) < pq.ScanBlock {
-		s.qdists = make([]uint32, pq.ScanBlock)
+	sc.probes = sc.probes[:queries.Rows*sc.np]
+	for qi := 0; qi < queries.Rows; qi++ {
+		lo, hi := qi*sc.np, (qi+1)*sc.np
+		_, sc.pdists = ix.Coarse.ProbeInto(sc.probes[lo:lo:hi], sc.pdists, queries.Row(qi), sc.np)
 	}
 }
 
-// gatherOverlay collects, for every query, the probed clusters' live log
-// entries into sc — version shadowing, tombstones, and the optional match
-// predicate (a filter pushed into the scan: entries failing it never reach
-// distance work) all applied here, with no arithmetic, so the read lock is
-// held for map lookups only. Caller holds mu.RLock.
-func (u *UpdatableIndex) gatherOverlay(sc *overlayScratch, probes [][]int32, match func(int64) bool) {
+// probesOf returns query qi's probed clusters, closest first.
+func (sc *readScratch) probesOf(qi int) []int32 { return sc.probes[qi*sc.np : (qi+1)*sc.np] }
+
+// gatherOverlay collects, for each of the nq probed queries, the probed
+// clusters' live log entries into sc, in scan order — version shadowing,
+// tombstones, and the optional match predicate (a filter pushed into the
+// scan: entries failing it never reach distance work) all applied here,
+// with no arithmetic, so the read lock is held for map lookups only.
+// Caller holds mu.RLock.
+func (u *UpdatableIndex) gatherOverlay(sc *readScratch, nq int, match func(int64) bool) {
 	sc.runs, sc.at = sc.runs[:0], sc.at[:0]
-	for qi := range probes {
-		for _, cl := range probes[qi] {
+	for qi := 0; qi < nq; qi++ {
+		for _, cl := range sc.probesOf(qi) {
 			lg := &u.logs[cl]
 			lo := len(sc.at)
 			for i, id := range lg.ids {
@@ -668,56 +705,6 @@ func (u *UpdatableIndex) gatherOverlay(sc *overlayScratch, probes [][]int32, mat
 			}
 		}
 	}
-}
-
-// scoreOverlay scores the gathered runs with the index's fixed-scale
-// quantized-LUT arithmetic (the exact arithmetic of the Quantized base
-// scan, so overlay and base distances are directly comparable), streaming
-// their codes through the blocked pq.ScanQDistsAt kernel, and returns each
-// query's k nearest live log entries. It needs no lock and allocates
-// nothing beyond the result lists.
-func (u *UpdatableIndex) scoreOverlay(sc *overlayScratch, snap *snapshot, queries *vecmath.Matrix, k int, cost *obs.Cost) [][]topk.Candidate {
-	m := snap.ix.PQ.M
-	scale := snap.ix.QScale
-	sc.ensure(u.dim, m)
-	out := make([][]topk.Candidate, queries.Rows)
-	heaps := make([]*topk.Heap, queries.Rows)
-	scanStart := time.Now()
-	var lutDur time.Duration
-	for _, run := range sc.runs {
-		lutStart := time.Now()
-		snap.ix.Coarse.Residual(sc.resid, queries.Row(run.query), run.cluster)
-		snap.ix.PQ.BuildLUTInto(sc.lut, sc.resid)
-		pq.QuantizeWithScaleInto(sc.qtab, sc.lut, scale)
-		lutDur += time.Since(lutStart)
-		if heaps[run.query] == nil {
-			heaps[run.query] = topk.NewHeap(k)
-		}
-		for lo := run.lo; lo < run.hi; lo += pq.ScanBlock {
-			at := sc.at[lo:min(lo+pq.ScanBlock, run.hi)]
-			qd := sc.qdists[:len(at)]
-			pq.ScanQDistsAt(qd, sc.qtab, run.codes, m, at)
-			for j, d := range qd {
-				var f float32
-				if scale != 0 {
-					f = float32(d) / scale
-				}
-				heaps[run.query].Push(run.ids[at[j]], f)
-			}
-		}
-	}
-	for qi, h := range heaps {
-		if h != nil {
-			out[qi] = h.Sorted()
-		}
-	}
-	scanned, lutEntries := len(sc.at), len(sc.runs)*len(sc.lut)
-	clear(sc.runs) // drop the log arrays before pooling
-	obs.Kernel.RecordScan(scanned*m, scanned, time.Since(scanStart)-lutDur)
-	obs.Kernel.RecordLUT(lutEntries, lutDur)
-	cost.AddScan(int64(scanned), int64(scanned*m), int64(lutEntries))
-	cost.AddOverlay(int64(scanned))
-	return out
 }
 
 // mergeResults folds base candidates (minus those deleted or superseded

@@ -3,6 +3,7 @@ package mutable
 import (
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/ivfpq"
 	"repro/internal/pq"
 	"repro/internal/topk"
@@ -10,12 +11,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// The overlay-merge golden test: scoreOverlay's blocked gather kernel
-// (pq.ScanQDistsAt over pooled scratch) must be bit-identical to a scalar
-// recomputation of the same live-entry walk — same shadowing and
+// The overlay-merge golden test: the overlay half of the fused read
+// (gatherOverlay, then scan folding each run through the ivfpq scanner's
+// gather kernel off the cluster's shared LUT) must be bit-identical to a
+// scalar recomputation of the same live-entry walk — same shadowing and
 // tombstone decisions, same fixed-scale quantized arithmetic, same
-// distances. Runs in-package so it can drive the overlay scan directly under
-// the lock discipline it documents.
+// distances. Runs in-package so it can drive the two halves directly under
+// the lock discipline they document.
 
 func overlayTestIndex(t *testing.T, rows, dim, nlist, m int) (*UpdatableIndex, *vecmath.Matrix) {
 	t.Helper()
@@ -121,14 +123,18 @@ func TestScanOverlayGoldenEquivalence(t *testing.T) {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	snap := u.snap.Load()
+	sc := &readScratch{scan: ivfpq.NewScratch()}
+	sc.probe(snap.ix, queries, 6)
 	probes := make([][]int32, queries.Rows)
 	for qi := range probes {
-		probes[qi] = snap.ix.Coarse.Probe(queries.Row(qi), 6)
+		probes[qi] = sc.probesOf(qi)
 	}
 	for pi, match := range preds {
-		sc := &overlayScratch{}
-		u.gatherOverlay(sc, probes, match)
-		got := u.scoreOverlay(sc, snap, queries, k, nil)
+		u.gatherOverlay(sc, queries.Rows, match)
+		_, got, _, err := u.scan(sc, snap, queries, baseRead{k: k, plan: filter.Plan{FetchK: k}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := scalarOverlayScan(u, snap, queries, probes, k, match)
 		for qi := range want {
 			if len(got[qi]) != len(want[qi]) {
@@ -154,9 +160,9 @@ func TestCutIgnoresLaterWrites(t *testing.T) {
 	q := data.Row(7)
 	snap := u.snap.Load()
 	o := ivfpq.SearchOpts{NProbe: 4, K: 2 * k, Quantized: true}
-	base, _, err := snap.searchBase(q, o)
-	if err != nil || len(base) < 4 {
-		t.Fatalf("base scan: %d hits, err %v", len(base), err)
+	base, _ := snap.ix.Search(q, o)
+	if len(base) < 4 {
+		t.Fatalf("base scan: %d hits", len(base))
 	}
 	before, deleted, overwritten := base[0].ID, base[1].ID, base[2].ID
 

@@ -17,8 +17,8 @@ import (
 // at full probe width, so the only recall it concedes is quantization
 // itself. It deliberately bypasses every serving-plane surface: no
 // admission, no result cache, no cost vectors, no SLO request windows,
-// and no probe accounting (shadow traffic must not steer the tier hot
-// set).
+// and no probe accounting, rebalance counters or prefetches (shadow
+// traffic must not steer the tier hot set).
 
 // OracleResult is one exact shadow answer plus the slice/drift context
 // the quality estimators key on.
@@ -56,9 +56,12 @@ func (u *UpdatableIndex) SearchOracle(vec []float32, k int, pred filter.Pred) (O
 	// distances keep oracle and live arithmetic identical: the oracle
 	// measures the search's recall, not the quantizer's.
 	snap := u.snap.Load()
-	probes := [][]int32{snap.ix.Coarse.Probe(vec, u.nlist)}
-	res.Cluster = int(probes[0][0])
-	rd := baseRead{k: k, nprobe: u.nlist, plan: filter.Plan{FetchK: k}}
+	queries := vecmath.WrapMatrix(vec, 1, u.dim)
+	sc := readPool.Get().(*readScratch)
+	defer readPool.Put(sc)
+	sc.probe(snap.ix, queries, u.nlist)
+	res.Cluster = int(sc.probes[0])
+	rd := baseRead{k: k, plan: filter.Plan{FetchK: k}}
 	if pred != nil {
 		if u.attrs == nil {
 			return res, ErrNoSchema
@@ -73,7 +76,7 @@ func (u *UpdatableIndex) SearchOracle(vec []float32, k int, pred filter.Pred) (O
 		rd.plan.Mode = filter.ModePre
 		res.Selectivity = u.attrs.EstimateTotal(pred, int(snap.baseN))
 	}
-	out, err := u.read(vecmath.WrapMatrix(vec, 1, u.dim), probes, rd, nil, nil)
+	out, err := u.read(sc, queries, rd, nil, nil)
 	if err != nil {
 		return res, err
 	}

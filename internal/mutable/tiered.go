@@ -6,15 +6,14 @@ import (
 
 	"repro/internal/ivfpq"
 	"repro/internal/tier"
-	"repro/internal/topk"
 )
 
 // Tiered deployments serve each epoch's base out of core: compaction
 // writes the folded base as a cluster image file, strips the in-RAM
 // posting lists, and searches the base through an internal/tier store
 // (hot-set pinning, async prefetch, cold streaming). The read path is
-// the in-RAM one; only snapshot.searchBase knows which executor an epoch
-// carries.
+// the in-RAM one; only UpdatableIndex.scan knows which of the two feeds
+// the scanner a probed cluster's payload.
 //
 // Epoch lifetime is reference-counted: a snapshot is born holding the
 // publisher's reference, every reader pins it under the overlay read
@@ -113,18 +112,6 @@ func deployTiered(ix *ivfpq.Index, freqs []float64, epoch uint64, tc *TierConfig
 	}
 	snap.refs.Store(1)
 	return snap, nil
-}
-
-// searchBase runs one base-epoch query on whichever executor the
-// snapshot carries: the tier store in tiered mode, the in-RAM posting
-// lists otherwise — the same blocked ADC kernels either way. Tiered
-// callers must hold a pin.
-func (s *snapshot) searchBase(q []float32, o ivfpq.SearchOpts) ([]topk.Candidate, tier.SearchStats, error) {
-	if s.tix != nil {
-		return s.tix.Search(q, o)
-	}
-	cands, st := s.ix.Search(q, o)
-	return cands, tier.SearchStats{SearchStats: st}, nil
 }
 
 // TierStats snapshots the current epoch's tier store counters (nil for

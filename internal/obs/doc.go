@@ -34,8 +34,8 @@
 //
 //   - Kernel accounting (kernel.go): a process-global counter block
 //     records bytes of PQ codes scanned and LUT entries built, with wall
-//     time, from every scan site (the simulated DPU kernels, the host
-//     reference kernels, the mutable overlay scan). Its snapshot reports
+//     time, from every scan site (the simulated DPU kernels and the
+//     ivfpq scanner every serving read goes through). Its snapshot reports
 //     achieved scan GB/s next to the internal/archmodel roofline bound,
 //     which is what ROADMAP item 1 ("measured, not asserted") needs.
 //

@@ -13,15 +13,16 @@
 //   - an async prefetcher: the clusters a query's coarse quantization
 //     names are warmed in the background so the ADC scan finds them
 //     resident by the time it reaches them;
-//   - a cold path that streams ids and codes through the blocked
-//     pq/scan.go kernels in ScanBlock-sized chunks, so a scan over a
-//     cluster far larger than cache never inflates the heap.
+//   - a cold path that streams ids and codes in ScanBlock-sized chunks,
+//     so a scan over a cluster far larger than cache never inflates the
+//     heap.
 //
-// Index.Search mirrors ivfpq.Index.Search block for block — same block
-// boundaries, same lazy LUT construction, same heap-push order — so
-// tiered results are bit-identical to the in-RAM path in both
-// arithmetic modes and under filter pushdown (the golden suite pins
-// this). I/O failures surface as errors, or — under Config.SkipFaulty —
+// The package owns where a payload comes from, not how it is scored:
+// Index.ScanCluster feeds resident slabs or cold chunks to the ivfpq
+// scanner that ivfpq.Index.Search feeds posting lists to, so tiered
+// results are bit-identical to the in-RAM path in both arithmetic modes
+// and under filter pushdown (the golden suite pins this). I/O failures
+// surface as errors, or — under Config.SkipFaulty —
 // as per-cluster skips counted in SearchStats and on /metrics: a faulty
 // device can degrade a result, never silently corrupt one. FaultReaderAt
 // is the fault-injection shim the tests drive short reads, EIO, and slow

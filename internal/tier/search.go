@@ -3,10 +3,8 @@ package tier
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/ivfpq"
-	"repro/internal/obs"
 	"repro/internal/pq"
 	"repro/internal/topk"
 )
@@ -33,9 +31,6 @@ func NewIndex(base *ivfpq.Index, store *Store) (*Index, error) {
 	return &Index{base: base, store: store}, nil
 }
 
-// Base returns the compute-side index (coarse quantizer + codebooks).
-func (t *Index) Base() *ivfpq.Index { return t.base }
-
 // Store returns the cluster store.
 func (t *Index) Store() *Store { return t.store }
 
@@ -53,70 +48,13 @@ type SearchStats struct {
 	ColdBytes int
 }
 
-// scratch is the tiered analogue of ivfpq.Scratch, plus the chunk
-// buffers cold blocks stream through. Pool-managed; results are always
-// copied out, so o.Scratch is ignored.
-type scratch struct {
-	probes []int32
-	pdists []float32
-	resid  []float32
-	lut    pq.LUT
-	qtab   []uint16
-	dists  []float32
-	qdists []uint32
-	at     []int32
-	heap   *topk.Heap
-	out    []topk.Candidate
-
-	chunkIDs   []int64
-	chunkCodes []uint8
-}
-
-var tierScratchPool = sync.Pool{New: func() any { return &scratch{} }}
-
-func (s *scratch) ensure(ix *ivfpq.Index, quantized bool) {
-	m := ix.PQ.M
-	if cap(s.resid) < ix.Dim {
-		s.resid = make([]float32, ix.Dim)
-	}
-	s.resid = s.resid[:ix.Dim]
-	if len(s.lut) != m*pq.CodebookSize {
-		s.lut = make(pq.LUT, m*pq.CodebookSize)
-	}
-	if quantized {
-		if len(s.qtab) != m*pq.CodebookSize {
-			s.qtab = make([]uint16, m*pq.CodebookSize)
-		}
-		if cap(s.qdists) < pq.ScanBlock {
-			s.qdists = make([]uint32, pq.ScanBlock)
-		}
-		s.qdists = s.qdists[:pq.ScanBlock]
-	} else {
-		if cap(s.dists) < pq.ScanBlock {
-			s.dists = make([]float32, pq.ScanBlock)
-		}
-		s.dists = s.dists[:pq.ScanBlock]
-	}
-	if cap(s.at) < pq.ScanBlock {
-		s.at = make([]int32, 0, pq.ScanBlock)
-	}
-	if cap(s.chunkIDs) < pq.ScanBlock {
-		s.chunkIDs = make([]int64, pq.ScanBlock)
-	}
-	s.chunkIDs = s.chunkIDs[:pq.ScanBlock]
-	if len(s.chunkCodes) < pq.ScanBlock*m {
-		s.chunkCodes = make([]uint8, pq.ScanBlock*m)
-	}
-}
+var scratchPool = sync.Pool{New: func() any { return ivfpq.NewScratch() }}
 
 // Search runs the IVFPQ online pipeline against tiered cluster
 // payloads and returns the K nearest candidates plus work and residency
-// counters. Resident clusters (hot set, source-resident, prefetched)
-// scan in place; cold clusters stream through the chunk buffers one
-// pq.ScanBlock at a time — the same block boundaries, LUT construction,
-// and heap-push order as ivfpq.Index.Search, so results are bit-for-bit
-// identical to the in-RAM path in both arithmetic modes and under
-// filter pushdown.
+// counters: the ivfpq scanner, fed by ScanCluster instead of posting
+// lists, so results are bit-for-bit identical to the in-RAM path in both
+// arithmetic modes and under filter pushdown.
 //
 // A cold read failing mid-cluster either fails the search (default) or,
 // under Config.SkipFaulty, abandons that cluster — counted in
@@ -124,195 +62,55 @@ func (s *scratch) ensure(ix *ivfpq.Index, quantized bool) {
 // the returned slice is freshly allocated. It panics if o.K <= 0
 // (matching topk.NewHeap).
 func (t *Index) Search(query []float32, o ivfpq.SearchOpts) ([]topk.Candidate, SearchStats, error) {
-	s := tierScratchPool.Get().(*scratch)
-	cands, st, err := t.searchWith(query, o, s)
-	var out []topk.Candidate
-	if err == nil {
-		out = make([]topk.Candidate, len(cands))
-		copy(out, cands)
+	var st SearchStats
+	s := scratchPool.Get().(*ivfpq.Scratch)
+	defer scratchPool.Put(s)
+	s.Begin(t.base, query, o)
+	probes := s.Probe(o.NProbe)
+	t.store.Hint(probes)
+	var err error
+	for _, cl := range probes {
+		s.Cluster(cl)
+		if err = t.ScanCluster(s, cl, &st); err != nil {
+			break
+		}
 	}
-	tierScratchPool.Put(s)
-	return out, st, err
+	cands, scanned := s.Finish()
+	st.SearchStats = scanned
+	if err != nil {
+		return nil, st, err
+	}
+	return append([]topk.Candidate(nil), cands...), st, nil
 }
 
-func (t *Index) searchWith(query []float32, o ivfpq.SearchOpts, s *scratch) ([]topk.Candidate, SearchStats, error) {
-	var st SearchStats
-	ix := t.base
-	s.ensure(ix, o.Quantized)
-	m := ix.PQ.M
-	scale := ix.QScale
-
-	s.probes, s.pdists = ix.Coarse.ProbeInto(s.probes, s.pdists, query, o.NProbe)
-	st.CentroidScans = ix.Coarse.NList()
-	st.ProbedClusters = len(s.probes)
-
-	for _, cl := range s.probes {
-		t.store.Touch(cl)
+// ScanCluster feeds cluster cl's payload to the scanner s (whose current
+// cluster must be cl) — a resident cluster in place, a cold one a
+// pq.ScanBlock at a time — counting residency and cold traffic into st.
+// A failed cold read abandons the cluster under Config.SkipFaulty and is
+// the returned error otherwise.
+func (t *Index) ScanCluster(s *ivfpq.Scratch, cl int32, st *SearchStats) error {
+	if t.store.Len(cl) == 0 {
+		return nil
 	}
-	if len(s.probes) > 1 {
-		// The first probed cluster is scanned immediately; warming starts
-		// with the ones the scan will reach later.
-		t.store.Prefetch(s.probes[1:])
+	streamed := 0
+	resident, err := t.store.ScanCluster(cl, pq.ScanBlock, func(ids []int64, codes []uint8) error {
+		streamed += len(ids)*8 + len(codes)
+		s.Scan(ids, codes)
+		return nil
+	})
+	if resident {
+		st.HotClusters++
+		return nil
 	}
-
-	if s.heap == nil {
-		s.heap = topk.NewHeap(o.K)
-	} else {
-		s.heap.ResetK(o.K)
+	st.ColdClusters++
+	st.ColdBytes += streamed
+	if err == nil {
+		return nil
 	}
-	heap := s.heap
-
-	full := false
-	var worst float32
-
-	scanStart := time.Now()
-	var lutDur, ioDur time.Duration
-	for _, cl := range s.probes {
-		n := t.store.Len(cl)
-		if n == 0 {
-			continue
-		}
-		resIDs, resCodes, resident := t.store.acquire(cl)
-		if resident {
-			st.HotClusters++
-		} else {
-			st.ColdClusters++
-		}
-		haveLUT := false
-		buildLUT := func() {
-			lutStart := time.Now()
-			ix.Coarse.Residual(s.resid, query, cl)
-			ix.PQ.BuildLUTInto(s.lut, s.resid)
-			if o.Quantized {
-				pq.QuantizeWithScaleInto(s.qtab, s.lut, scale)
-			}
-			lutDur += time.Since(lutStart)
-			st.LUTEntries += ix.PQ.M * ix.PQ.KSub
-			haveLUT = true
-		}
-		if o.Allow == nil {
-			buildLUT()
-		}
-		for base := 0; base < n; base += pq.ScanBlock {
-			bn := n - base
-			if bn > pq.ScanBlock {
-				bn = pq.ScanBlock
-			}
-			// Block-local addressing: bids/bcodes hold exactly this block,
-			// whether sliced from a resident slab or streamed cold, and the
-			// filtered gather positions are relative to the block. The
-			// kernels see the same codes in the same order as the in-RAM
-			// path's absolute addressing, so sums are bit-identical.
-			var (
-				bids   []int64
-				bcodes []uint8
-			)
-			if resident {
-				bids = resIDs[base : base+bn]
-				bcodes = resCodes[base*m : (base+bn)*m]
-			} else {
-				ioStart := time.Now()
-				err := t.store.readRange(s.chunkIDs[:bn], s.chunkCodes[:bn*m], cl, base)
-				ioDur += time.Since(ioStart)
-				if err != nil {
-					if t.store.cfg.SkipFaulty {
-						st.SkippedClusters++
-						t.store.recordSkipped(cl, err)
-						break
-					}
-					return nil, st, fmt.Errorf("tier: cluster %d: %w", cl, err)
-				}
-				st.ColdBytes += bn*8 + bn*m
-				bids = s.chunkIDs[:bn]
-				bcodes = s.chunkCodes[:bn*m]
-			}
-			scanned := bn
-			if o.Allow != nil {
-				at := s.at[:0]
-				for i, id := range bids {
-					if !o.Allow(id) {
-						st.CodesFiltered++
-						continue
-					}
-					at = append(at, int32(i))
-				}
-				s.at = at[:0]
-				if len(at) == 0 {
-					continue
-				}
-				if !haveLUT {
-					buildLUT()
-				}
-				scanned = len(at)
-				if o.Quantized {
-					qd := s.qdists[:scanned]
-					pq.ScanQDistsAt(qd, s.qtab, bcodes, m, at)
-					for j, d := range qd {
-						var f float32
-						if scale != 0 {
-							f = float32(d) / scale
-						}
-						if full && f >= worst {
-							continue
-						}
-						heap.Push(bids[at[j]], f)
-						st.HeapAccepted++
-						if full = heap.Full(); full {
-							worst = heap.Worst()
-						}
-					}
-				} else {
-					bd := s.dists[:scanned]
-					pq.ScanDistsAt(bd, s.lut, bcodes, m, at)
-					for j, d := range bd {
-						if full && d >= worst {
-							continue
-						}
-						heap.Push(bids[at[j]], d)
-						st.HeapAccepted++
-						if full = heap.Full(); full {
-							worst = heap.Worst()
-						}
-					}
-				}
-			} else if o.Quantized {
-				qd := s.qdists[:bn]
-				pq.ScanQDists(qd, s.qtab, bcodes, m)
-				for i, d := range qd {
-					var f float32
-					if scale != 0 {
-						f = float32(d) / scale
-					}
-					if full && f >= worst {
-						continue
-					}
-					heap.Push(bids[i], f)
-					st.HeapAccepted++
-					if full = heap.Full(); full {
-						worst = heap.Worst()
-					}
-				}
-			} else {
-				bd := s.dists[:bn]
-				pq.ScanDists(bd, s.lut, bcodes, m)
-				for i, d := range bd {
-					if full && d >= worst {
-						continue
-					}
-					heap.Push(bids[i], d)
-					st.HeapAccepted++
-					if full = heap.Full(); full {
-						worst = heap.Worst()
-					}
-				}
-			}
-			st.CodesScanned += scanned
-			st.CodeBytes += scanned * m
-			st.HeapPushes += scanned
-		}
+	if !t.store.cfg.SkipFaulty {
+		return fmt.Errorf("tier: cluster %d: %w", cl, err)
 	}
-	obs.Kernel.RecordScan(st.CodeBytes, st.CodesScanned, time.Since(scanStart)-lutDur-ioDur)
-	obs.Kernel.RecordLUT(st.LUTEntries, lutDur)
-	s.out = heap.AppendSorted(s.out[:0])
-	return s.out, st, nil
+	st.SkippedClusters++
+	t.store.recordSkipped(cl, err)
+	return nil
 }

@@ -157,8 +157,18 @@ func (s *Store) SeedFrequencies(freqs []float64) {
 	}
 }
 
-// Touch accounts one probe of cluster c toward future rebalances.
-func (s *Store) Touch(c int32) { s.freq[c].Add(1) }
+// Hint tells the store which clusters a live query is about to scan, in
+// scan order: each counts toward future rebalances, and all but the first
+// — which is scanned immediately — are handed to Prefetch. Reads that
+// must not steer residency (the shadow oracle) skip it.
+func (s *Store) Hint(probes []int32) {
+	for _, c := range probes {
+		s.freq[c].Add(1)
+	}
+	if len(probes) > 1 {
+		s.Prefetch(probes[1:])
+	}
+}
 
 // Prefetch hands the not-yet-resident clusters in probes to the
 // background warmers. Duplicate and already-resident clusters are
@@ -397,38 +407,49 @@ func (s *Store) rebalanceLoop() {
 	}
 }
 
-// scanChunk is how many rows ScanCluster streams per cold read when a
-// cluster is not resident. Sized well above pq.ScanBlock so fold-time
-// sequential reads amortize syscall overhead.
-const scanChunk = 4096
+// FoldChunk is how many rows compaction asks ScanCluster to stream per
+// cold read. Sized well above pq.ScanBlock so fold-time sequential reads
+// amortize syscall overhead.
+const FoldChunk = 4096
 
-// ScanCluster feeds cluster c's payload to fn, in one call when the
-// cluster is resident and in bounded chunks streamed from the source
-// otherwise. Compaction folds a tiered base through this without ever
-// materializing a full cluster.
-func (s *Store) ScanCluster(c int32, fn func(ids []int64, codes []uint8) error) error {
+// chunk is the buffer pair a cold cluster streams through.
+type chunk struct {
+	ids   []int64
+	codes []uint8
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// ScanCluster feeds cluster c's payload to fn: in one call when the
+// cluster is resident — hot set, source-resident, prefetched — and
+// otherwise streamed from the source through a pooled buffer in cold
+// reads of up to rows rows. It is the one streaming loop: searches feed the ADC
+// scanner through it a pq.ScanBlock at a time, and compaction folds a
+// tiered base through it without ever materializing a full cluster.
+func (s *Store) ScanCluster(c int32, rows int, fn func(ids []int64, codes []uint8) error) (resident bool, err error) {
 	n := s.src.Len(c)
 	if n == 0 {
-		return nil
+		return true, nil
 	}
 	if ids, codes, ok := s.acquire(c); ok {
-		return fn(ids, codes)
+		return true, fn(ids, codes)
 	}
-	ids := make([]int64, scanChunk)
-	codes := make([]uint8, scanChunk*s.m)
-	for base := 0; base < n; base += scanChunk {
-		cn := n - base
-		if cn > scanChunk {
-			cn = scanChunk
+	buf := chunkPool.Get().(*chunk)
+	defer chunkPool.Put(buf)
+	if len(buf.ids) < rows || len(buf.codes) < rows*s.m {
+		buf.ids, buf.codes = make([]int64, rows), make([]uint8, rows*s.m)
+	}
+	for base := 0; base < n; base += rows {
+		cn := min(rows, n-base)
+		ids, codes := buf.ids[:cn], buf.codes[:cn*s.m]
+		if err := s.readRange(ids, codes, c, base); err != nil {
+			return false, err
 		}
-		if err := s.readRange(ids[:cn], codes[:cn*s.m], c, base); err != nil {
-			return err
-		}
-		if err := fn(ids[:cn], codes[:cn*s.m]); err != nil {
-			return err
+		if err := fn(ids, codes); err != nil {
+			return false, err
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // Stats is a point-in-time view of one store's residency state and

@@ -173,7 +173,7 @@ func TestStorePrefetchAfterCloseIsNoop(t *testing.T) {
 }
 
 func TestStoreScanClusterMatchesResident(t *testing.T) {
-	ix, _ := buildIndex(t, 66, 10000, 16, 2, 8) // two clusters → each spans multiple scanChunks
+	ix, _ := buildIndex(t, 66, 10000, 16, 2, 8) // two clusters → each spans multiple FoldChunks
 	img := imageFor(t, ix)
 	cold := NewStore(NewImageSource(img), Config{})
 	defer cold.Close()
@@ -182,7 +182,7 @@ func TestStoreScanClusterMatchesResident(t *testing.T) {
 		l := &ix.Lists[c]
 		var ids []int64
 		var codes []uint8
-		err := cold.ScanCluster(int32(c), func(chunkIDs []int64, chunkCodes []uint8) error {
+		_, err := cold.ScanCluster(int32(c), FoldChunk, func(chunkIDs []int64, chunkCodes []uint8) error {
 			ids = append(ids, chunkIDs...)
 			codes = append(codes, chunkCodes...)
 			return nil

@@ -159,22 +159,12 @@ func (m *Matrix) ArgminL2(q []float32) (int, float32) {
 	return best, bestD
 }
 
-// TopNL2 returns the indices of the n rows closest to q in ascending
-// distance order, together with their distances. n is clamped to Rows.
-func (m *Matrix) TopNL2(q []float32, n int) ([]int32, []float32) {
-	if n > m.Rows {
-		n = m.Rows
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	return m.TopNL2Into(make([]int32, 0, n), make([]float32, 0, n), q, n)
-}
-
-// TopNL2Into is TopNL2 accumulating into caller-provided backing: ids and
-// ds are truncated and reused when their capacity covers n (no
-// allocation), and grown otherwise. n is clamped to Rows; the returned
-// slices share backing with the inputs when capacity sufficed.
+// TopNL2Into returns the indices of the n rows closest to q in ascending
+// distance order, together with their distances, in caller-provided
+// backing: ids and ds (either may be nil) are truncated and reused when
+// their capacity covers n (no allocation), and grown otherwise. n is
+// clamped to Rows; the returned slices share backing with the inputs when
+// capacity sufficed.
 func (m *Matrix) TopNL2Into(ids []int32, ds []float32, q []float32, n int) ([]int32, []float32) {
 	if n > m.Rows {
 		n = m.Rows

@@ -186,7 +186,7 @@ func TestTopNL2Sorted(t *testing.T) {
 		m.Data[i] = r.Float32()
 	}
 	q := make([]float32, 8)
-	ids, ds := m.TopNL2(q, 10)
+	ids, ds := m.TopNL2Into(nil, nil, q, 10)
 	if len(ids) != 10 {
 		t.Fatalf("got %d results", len(ids))
 	}
@@ -204,7 +204,7 @@ func TestTopNL2Sorted(t *testing.T) {
 
 func TestTopNL2ClampsToRows(t *testing.T) {
 	m := NewMatrix(3, 2)
-	ids, _ := m.TopNL2([]float32{0, 0}, 10)
+	ids, _ := m.TopNL2Into(nil, nil, []float32{0, 0}, 10)
 	if len(ids) != 3 {
 		t.Fatalf("got %d, want 3", len(ids))
 	}
@@ -224,7 +224,7 @@ func TestTopNMatchesBruteForceProperty(t *testing.T) {
 			q[i] = rr.Float32()
 		}
 		n := rr.Intn(rows) + 1
-		ids, ds := m.TopNL2(q, n)
+		ids, ds := m.TopNL2Into(nil, nil, q, n)
 		// Every returned distance must be <= every excluded distance.
 		maxIn := ds[len(ds)-1]
 		in := make(map[int32]bool)
@@ -271,6 +271,6 @@ func BenchmarkTopN4096x64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.TopNL2(q, 32)
+		m.TopNL2Into(nil, nil, q, 32)
 	}
 }

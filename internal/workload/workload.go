@@ -25,7 +25,8 @@ func ClusterFrequencies(coarse *ivf.Coarse, sample *vecmath.Matrix, nprobe int) 
 	}
 	total := 0.0
 	for qi := 0; qi < sample.Rows; qi++ {
-		for _, c := range coarse.Probe(sample.Row(qi), nprobe) {
+		probes, _ := coarse.ProbeInto(nil, nil, sample.Row(qi), nprobe)
+		for _, c := range probes {
 			counts[c]++
 			total++
 		}
