@@ -1,9 +1,9 @@
 // Command upanns-serve exposes an UpANNS deployment as an HTTP service:
 // the online counterpart of the one-shot upanns-search, and the shard
 // process of a distributed deployment fronted by upanns-router.
-// Concurrent single-query requests are coalesced into micro-batches by
-// the internal/serve scheduler before they reach the index, whose base
-// is scanned by the native ADC kernels.
+// Concurrent single-query requests that queue while a worker is busy are
+// taken together as one micro-batch by internal/serve before they reach
+// the index, whose base is scanned by the native ADC kernels.
 //
 // The index is deployed through internal/mutable, so the corpus is
 // updatable while serving: POST /upsert and /delete stage writes in the
@@ -100,7 +100,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		shardID  = flag.String("shard-id", "", "shard identity reported on /stats and /healthz (set by upanns-router deployments)")
 		maxBatch = flag.Int("max-batch", 32, "micro-batch size cap")
-		linger   = flag.Duration("linger", 200*time.Microsecond, "max wait to fill a micro-batch")
 		queue    = flag.Int("queue", 1024, "admission queue depth")
 		timeout  = flag.Duration("timeout", time.Second, "per-request deadline")
 		cache    = flag.Int("cache", 4096, "LRU result-cache entries (0 disables)")
@@ -140,6 +139,11 @@ func main() {
 	mcfg := mutable.ServingConfig(*nprobe, *k, 0, *seed)
 	mcfg.CheckInterval = *compactEvery
 	if *schemaSpec != "" {
+		if *statePath != "" {
+			// The state format has no attribute section: a restored shard
+			// would answer filtered queries from post-restart upserts only.
+			fail(fmt.Errorf("-schema is incompatible with -state: state snapshots do not carry attribute tags"))
+		}
 		var err error
 		if mcfg.Schema, err = filter.ParseSchema(*schemaSpec); err != nil {
 			fail(err)
@@ -210,7 +214,6 @@ func main() {
 		K:              *k,
 		MaxK:           *maxK,
 		MaxBatch:       *maxBatch,
-		MaxLinger:      *linger,
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		CacheSize:      *cache,

@@ -19,9 +19,8 @@
 //
 //   - engine: internal/core (WRAM planning, MRAM cluster images, the DPU
 //     kernel, batched search with modelled stage timing), with
-//     internal/placement (Algorithms 1 and 2), internal/cooc (Opt 3),
-//     internal/baseline (Faiss-CPU/GPU and PIM-naive comparators), and
-//     internal/multihost (the paper's Section 5.5 in-process sketch);
+//     internal/placement (Algorithms 1 and 2), internal/cooc (Opt 3), and
+//     internal/baseline (Faiss-CPU/GPU and PIM-naive comparators);
 //
 //   - mutability: internal/mutable — online insert/delete staged in an
 //     LSM-style overlay, epoch-snapshot serving with RCU-style
@@ -37,8 +36,8 @@
 //     surface as wrapped errors or counted skip-degraded answers, and
 //     a fault-injection + golden-equivalence harness proves both;
 //
-//   - serving: internal/serve — micro-batching, admission control,
-//     request coalescing, an LRU result cache, a mirrored write batcher,
+//   - serving: internal/serve — worker-pulled micro-batches, admission
+//     control, request coalescing, an LRU result cache, a write batcher,
 //     and the shard HTTP surface (wire types + handler) every serving
 //     binary shares; internal/workload (Poisson arrivals, Zipfian query
 //     streams, mixed churn) and internal/metrics (tables, streaming

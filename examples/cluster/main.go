@@ -183,6 +183,15 @@ func main() {
 	if errs > 0 {
 		log.Fatalf("phase 3: %d of %d queries failed after the kill — degraded serving must not error", errs, *queries)
 	}
+	// The queries above may finish inside one health interval; phase 5's
+	// flight record needs the prober to have seen the outage.
+	deadline := time.Now().Add(10 * time.Second)
+	for router.HealthyShards() == router.NumShards() {
+		if time.Now().After(deadline) {
+			log.Fatalf("phase 3: prober did not notice shard %s dying", victim.ID)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 	recallPre := dataset.Recall(preKill, truth[:half])
 	recallPost := dataset.Recall(postKill, truth)
 	fmt.Printf("  recall@%d: %.4f before kill -> %.4f after (no errors, %d/%d shards)\n",
@@ -258,7 +267,7 @@ func main() {
 	if err := victim.Restart(); err != nil {
 		log.Fatalf("phase 5: restarting shard %s: %v", victim.ID, err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for router.HealthyShards() < router.NumShards() {
 		if time.Now().After(deadline) {
 			log.Fatalf("phase 5: shard %s not re-admitted within 10s of restarting", victim.ID)

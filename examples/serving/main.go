@@ -82,7 +82,7 @@ func main() {
 	// ---- Phase 1: sustainable Zipfian load ----
 	fmt.Println("phase 1: open-loop Poisson arrivals at 50% of capacity, Zipf query popularity")
 	srv, err := serve.NewServer(serve.Config{
-		K: topK, MaxBatch: 32, MaxLinger: 500 * time.Microsecond,
+		K: topK, MaxBatch: 32,
 		QueueDepth: 1024, DefaultTimeout: 5 * time.Second, CacheSize: 128,
 	}, backend)
 	if err != nil {
@@ -98,7 +98,7 @@ func main() {
 	// ---- Phase 2: overload with admission control ----
 	fmt.Println("phase 2: 3x capacity, 250ms deadline, 16-deep queue — shedding instead of collapse")
 	srv2, err := serve.NewServer(serve.Config{
-		K: topK, MaxBatch: 32, MaxLinger: 500 * time.Microsecond,
+		K: topK, MaxBatch: 32,
 		QueueDepth: 16, DefaultTimeout: 250 * time.Millisecond, CacheSize: 0,
 	}, backend)
 	if err != nil {

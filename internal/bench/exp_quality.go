@@ -245,7 +245,6 @@ func (c *Context) qualityOverheadPair(u *mutable.UpdatableIndex, s *setup, k int
 		srv, err := serve.NewServer(serve.Config{
 			K:              k,
 			MaxBatch:       8,
-			MaxLinger:      200 * time.Microsecond,
 			QueueDepth:     4096,
 			DefaultTimeout: 60 * time.Second,
 			Quality:        quality,

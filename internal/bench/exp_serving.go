@@ -21,7 +21,6 @@ import (
 type ServingPolicy struct {
 	Name      string
 	MaxBatch  int
-	Linger    time.Duration
 	CacheSize int
 }
 
@@ -30,9 +29,9 @@ type ServingPolicy struct {
 func ServingPolicies() []ServingPolicy {
 	return []ServingPolicy{
 		{Name: "batch=1 (no batching)", MaxBatch: 1},
-		{Name: "batch=8 linger=200us", MaxBatch: 8, Linger: 200 * time.Microsecond},
-		{Name: "batch=32 linger=500us", MaxBatch: 32, Linger: 500 * time.Microsecond},
-		{Name: "batch=32 + cache", MaxBatch: 32, Linger: 500 * time.Microsecond, CacheSize: 256},
+		{Name: "batch=8", MaxBatch: 8},
+		{Name: "batch=32", MaxBatch: 32},
+		{Name: "batch=32 + cache", MaxBatch: 32, CacheSize: 256},
 	}
 }
 
@@ -49,7 +48,7 @@ type ServingPoint struct {
 // and latency quantiles are measured end to end. It is the serving-tier
 // restatement of Fig. 16: per-query cost falls with batched dispatch, so
 // micro-batching lifts QPS while *reducing* tail latency under concurrent
-// load (queue waits shrink faster than linger adds delay), and the LRU
+// load (a backlog drains in a few large dispatches), and the LRU
 // cache converts the Fig. 4a popularity skew into sub-engine-latency p50.
 func (c *Context) Serving() (*Report, error) {
 	points, err := c.ServingCurve(ServingPolicies())
@@ -334,7 +333,7 @@ func (c *Context) ServingCurve(policies []ServingPolicy) ([]ServingPoint, error)
 // live — so every request pays span allocation, stage recording, and the
 // ring push). The artifact's Violations pins the mean overhead under 5%.
 func (c *Context) ServingTracingOverhead() (*ServingTracingArtifact, error) {
-	p := ServingPolicy{Name: "batch=8 (tracing pair)", MaxBatch: 8, Linger: 200 * time.Microsecond}
+	p := ServingPolicy{Name: "batch=8 (tracing pair)", MaxBatch: 8}
 	meanOff, meanOn, p99Off, p99On, err := c.servingOverheadPair(p, "tracing", func() servingObs {
 		return servingObs{tracer: obs.NewTracer(obs.TracerConfig{})}
 	})
@@ -354,7 +353,7 @@ func (c *Context) ServingTracingOverhead() (*ServingTracingArtifact, error) {
 // every dispatch — the full always-on configuration of a production
 // shard. The artifact's Violations pins mean and p99 overhead under 5%.
 func (c *Context) ServingObsOverhead() (*ServingObsArtifact, error) {
-	p := ServingPolicy{Name: "batch=8 (obs pair)", MaxBatch: 8, Linger: 200 * time.Microsecond}
+	p := ServingPolicy{Name: "batch=8 (obs pair)", MaxBatch: 8}
 	meanOff, meanOn, p99Off, p99On, err := c.servingOverheadPair(p, "obs", func() servingObs {
 		return servingObs{
 			tracer: obs.NewTracer(obs.TracerConfig{}),
@@ -453,7 +452,6 @@ func (c *Context) runServingPolicy(e *core.Engine, pool *vecmath.Matrix, p Servi
 	srv, err := serve.NewServer(serve.Config{
 		K:              c.O.K,
 		MaxBatch:       p.MaxBatch,
-		MaxLinger:      p.Linger,
 		QueueDepth:     4096,
 		DefaultTimeout: 60 * time.Second,
 		CacheSize:      p.CacheSize,

@@ -4,10 +4,9 @@
 // routes writes to the owning shard by stable ID hashing so each shard's
 // mutable overlay and background compaction keep working untouched.
 //
-// It upgrades internal/multihost — the paper's Section 5.5 in-process
-// sketch, where "only query distribution and result aggregation require
-// cross-host communication" — into a deployable tier with the failure
-// handling a real cluster needs:
+// It turns the paper's Section 5.5 multi-host sketch, where "only query
+// distribution and result aggregation require cross-host communication",
+// into a deployable tier with the failure handling a real cluster needs:
 //
 //   - health checking: a background prober polls every shard's /healthz;
 //     shards that fail (or report draining) are excluded from the fanout
@@ -37,8 +36,7 @@
 //
 // Distances from different shards are compared directly in the float
 // domain (each shard has its own LUT quantization scale), which is
-// exactly as approximate as IVFPQ itself — the same merge semantics as
-// internal/multihost.
+// exactly as approximate as IVFPQ itself.
 //
 // Attribute filters pass through the tier untouched: SearchOpts carries
 // the per-request k and predicate expression to every shard verbatim

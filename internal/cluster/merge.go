@@ -29,7 +29,7 @@ type ShardHits struct {
 }
 
 // Merge folds per-shard top-k lists into one global top-k, ascending
-// distance with ties broken by ascending ID — the multihost coordinator
+// distance with ties broken by ascending ID — the paper's coordinator
 // merge, hardened for live shards:
 //
 //   - duplicate IDs across shards collapse to the single best (smallest)
@@ -50,8 +50,7 @@ type ShardHits struct {
 // first — map iteration order — making merged results, and therefore
 // measured recall, vary call to call.)
 //
-// Distances are compared in the float domain, exactly like
-// multihost.Cluster.SearchBatch.
+// Distances are compared in the float domain.
 func Merge(k int, hits []ShardHits, owns func(id int64, shard int) bool) []topk.Candidate {
 	if k <= 0 {
 		return nil

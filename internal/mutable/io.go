@@ -48,6 +48,9 @@ func (u *UpdatableIndex) WriteTo(w io.Writer) (int64, error) {
 	if u.cfg.Tier != nil {
 		return 0, fmt.Errorf("mutable: tiered deployments do not support WriteTo: the base already lives in the epoch image file")
 	}
+	if u.cfg.Schema != nil {
+		return 0, fmt.Errorf("mutable: deployments with an attribute schema do not support WriteTo: the state format has no attribute section, so a restore would drop every tag")
+	}
 	// Freeze a consistent (snapshot, overlay) pair. Slice headers are
 	// safe to retain: log entries are append-only, the base immutable.
 	u.mu.RLock()

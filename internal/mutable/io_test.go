@@ -90,6 +90,17 @@ func TestRoundTripCleanIndex(t *testing.T) {
 	}
 }
 
+// TestSchemaWriteToRejected pins the loud failure for tagged
+// deployments: the state format carries no attributes, so persisting one
+// would restore an index whose filtered searches see no pre-restart tags.
+func TestSchemaWriteToRejected(t *testing.T) {
+	u, _ := buildFiltered(t, 200)
+	var buf bytes.Buffer
+	if _, err := u.WriteTo(&buf); err == nil {
+		t.Fatal("WriteTo accepted a deployment with an attribute schema")
+	}
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := mutable.Read(bytes.NewReader([]byte("UPIX????")), testConfig(0)); err == nil {
 		t.Fatal("bad magic accepted")

@@ -22,8 +22,8 @@ type Backend interface {
 	Dim() int
 }
 
-// FuncBackend adapts a plain (queries, k) function: tests exercise the
-// scheduler with it, and the serving bench and example put the paper's
+// FuncBackend adapts a plain (queries, k) function: tests exercise
+// batching with it, and the serving bench and example put the paper's
 // simulated-DPU engine behind it. Filtered batches are unsupported.
 type FuncBackend struct {
 	D  int

@@ -3,113 +3,78 @@ package serve
 import "time"
 
 // batch is one formed micro-batch plus its formation timestamps: opened
-// is when the first item arrived (the batch began forming), formed is
-// when it was sealed for dispatch. The gap between them is the linger a
-// request paid for its batch-mates, which request tracing reports as the
-// serve.batch span.
+// is when a worker took its first item, formed is when it was sealed for
+// dispatch. The gap between them is the time spent collecting
+// batch-mates, which request tracing reports as the serve.batch span.
 type batch[T any] struct {
 	items  []T
 	opened time.Time
 	formed time.Time
 }
 
-// microBatcher owns the batch-formation machinery shared by the read
-// path (Server) and the write path (WriteBatcher): a bounded admission
-// queue drained by a single scheduler goroutine into batches that
-// dispatch when maxBatch items are collected or linger elapses since the
-// batch opened — whichever comes first — plus the shutdown drain pass
-// that flushes everything still queued. Keeping one implementation means
-// the policy cannot diverge between the two paths.
+// microBatcher is the batch-formation machinery shared by the read path
+// (Server) and the write path (WriteBatcher): a bounded admission queue
+// that each worker pulls its own batches from. An idle worker blocks on
+// the queue; a busy one lets requests pile up, and its next pull takes
+// them together, up to maxBatch. With linger > 0 (the write path) a
+// batch also waits up to linger for more items. Shutdown closes the
+// queue once admission is fenced; workers drain it until it is empty.
 type microBatcher[T any] struct {
 	maxBatch int
 	linger   time.Duration
 	queue    chan T
-	work     chan batch[T]
-	stopc    chan struct{}
 }
 
-func newMicroBatcher[T any](maxBatch int, linger time.Duration, queueDepth, workDepth int) *microBatcher[T] {
+func newMicroBatcher[T any](maxBatch int, linger time.Duration, queueDepth int) *microBatcher[T] {
 	return &microBatcher[T]{
 		maxBatch: maxBatch,
 		linger:   linger,
 		queue:    make(chan T, queueDepth),
-		work:     make(chan batch[T], workDepth),
-		stopc:    make(chan struct{}),
 	}
 }
 
-// run drains the admission queue into micro-batches until stopc closes,
-// then flushes the remaining queue and closes the work channel. Run it
-// on a dedicated goroutine; admission must already be fenced (see
-// Server.Close) before stopc closes so the queue can only shrink during
-// the drain.
-func (b *microBatcher[T]) run() {
-	defer close(b.work)
-	for {
-		select {
-		case first := <-b.queue:
-			opened := time.Now()
-			items := b.fill(first)
-			b.work <- batch[T]{items: items, opened: opened, formed: time.Now()}
-		case <-b.stopc:
-			b.drain()
-			return
-		}
+// next blocks until an item is queued and returns the batch it opens,
+// built in buf's backing array. It reports false once the queue is closed
+// and empty.
+func (b *microBatcher[T]) next(buf []T) (batch[T], bool) {
+	first, ok := <-b.queue
+	if !ok {
+		return batch[T]{}, false
 	}
+	opened := time.Now()
+	items := b.fill(append(buf[:0], first))
+	return batch[T]{items: items, opened: opened, formed: time.Now()}, true
 }
 
-// fill grows a batch opened by first until full, linger expiry, or
-// shutdown.
-func (b *microBatcher[T]) fill(first T) []T {
-	batch := []T{first}
-	if b.maxBatch <= 1 {
-		return batch
-	}
-	if b.linger == 0 {
+// fill grows a batch until full, linger expiry, or the queue closes.
+func (b *microBatcher[T]) fill(items []T) []T {
+	if b.linger == 0 || b.maxBatch <= 1 {
 		// Greedy: take whatever is already queued, never wait.
-		for len(batch) < b.maxBatch {
+		for len(items) < b.maxBatch {
 			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
+			case r, ok := <-b.queue:
+				if !ok {
+					return items
+				}
+				items = append(items, r)
 			default:
-				return batch
+				return items
 			}
 		}
-		return batch
+		return items
 	}
 	timer := time.NewTimer(b.linger)
 	defer timer.Stop()
-	for len(batch) < b.maxBatch {
+	for len(items) < b.maxBatch {
 		select {
-		case r := <-b.queue:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-b.stopc:
-			return batch
-		}
-	}
-	return batch
-}
-
-// drain flushes everything still queued at shutdown into final batches.
-func (b *microBatcher[T]) drain() {
-	opened := time.Now()
-	items := make([]T, 0, b.maxBatch)
-	for {
-		select {
-		case r := <-b.queue:
+		case r, ok := <-b.queue:
+			if !ok {
+				return items
+			}
 			items = append(items, r)
-			if len(items) == b.maxBatch {
-				b.work <- batch[T]{items: items, opened: opened, formed: time.Now()}
-				opened = time.Now()
-				items = make([]T, 0, b.maxBatch)
-			}
-		default:
-			if len(items) > 0 {
-				b.work <- batch[T]{items: items, opened: opened, formed: time.Now()}
-			}
-			return
+		case <-timer.C:
+			return items
 		}
 	}
+	return items
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/filter"
 	"repro/internal/ivfpq"
@@ -91,7 +90,7 @@ func TestCostCacheHitEntries(t *testing.T) {
 	const dim = 4
 	costs := obs.NewCostTracker(4)
 	s, err := NewServer(Config{
-		K: 1, CacheSize: 16, MaxLinger: time.Millisecond, Costs: costs,
+		K: 1, CacheSize: 16, Costs: costs,
 	}, echoBackend(dim, 0, nil))
 	if err != nil {
 		t.Fatal(err)

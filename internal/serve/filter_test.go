@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/filter"
 	"repro/internal/mutable"
+	"repro/internal/obs"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
@@ -17,13 +20,17 @@ import (
 // result.
 type filterEchoBackend struct {
 	dim      int
-	plain    int // unfiltered calls
-	filtered int // filtered calls
+	plain    int           // unfiltered calls
+	filtered int           // filtered calls
+	gate     chan struct{} // when non-nil, every call waits until it is closed
 }
 
 func (b *filterEchoBackend) Dim() int { return b.dim }
 
 func (b *filterEchoBackend) Search(q *vecmath.Matrix, opts mutable.SearchOpts) ([][]topk.Candidate, error) {
+	if b.gate != nil {
+		<-b.gate
+	}
 	base := int64(1)
 	if opts.Pred != nil {
 		b.filtered++
@@ -145,38 +152,60 @@ func TestEquivalentFilterSpellingsShareCache(t *testing.T) {
 // (k, filter) shapes dispatches each shape separately and routes every
 // answer to its own caller.
 func TestMixedBatchSplitsByShape(t *testing.T) {
-	b := &filterEchoBackend{dim: 4}
-	// Cache off so every request reaches the backend; generous linger so
-	// the requests land in one micro-batch.
-	s, err := NewServer(Config{K: 2, MaxK: 3, MaxBatch: 16, MaxLinger: 50_000_000}, b)
+	b := &filterEchoBackend{dim: 4, gate: make(chan struct{})}
+	// Cache off so every request reaches the backend.
+	s, err := NewServer(Config{K: 2, MaxK: 3, MaxBatch: 16}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	release := sync.OnceFunc(func() { close(b.gate) })
+	defer release() // a failed wait must not leave Close blocked on the gate
+
+	// A first request occupies the worker, so the three shapes queue
+	// behind it and its next pull takes them as one batch.
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := s.Search(context.Background(), []float32{9, 9, 9, 9})
+		blocker <- err
+	}()
+	waitStats(t, s, func(st Stats) bool { return st.Accepted == 1 && st.QueueDepth == 0 })
 
 	pred := mustParse(t, `tenant = 9`)
+	tracer := obs.NewTracer(obs.TracerConfig{})
 	type res struct {
 		id  int64
 		n   int
+		tr  *obs.Trace
 		err error
 	}
 	results := make(chan res, 3)
 	run := func(opts SearchOptions) {
-		cands, err := s.SearchOpts(context.Background(), []float32{1, 2, 3, 4}, opts)
+		tr := tracer.Start("test")
+		cands, err := s.SearchOpts(obs.WithTrace(context.Background(), tr), []float32{1, 2, 3, 4}, opts)
 		if err != nil {
 			results <- res{err: err}
 			return
 		}
-		results <- res{id: cands[0].ID, n: len(cands)}
+		results <- res{id: cands[0].ID, n: len(cands), tr: tr}
 	}
 	go run(SearchOptions{})
 	go run(SearchOptions{K: 3})
 	go run(SearchOptions{Filter: pred})
+	waitStats(t, s, func(st Stats) bool { return st.QueueDepth == 3 })
+	release()
+	if err := <-blocker; err != nil {
+		t.Fatal(err)
+	}
 	var plainN, filteredN, bigKN int
 	for i := 0; i < 3; i++ {
 		r := <-results
 		if r.err != nil {
 			t.Fatal(r.err)
+		}
+		tracer.Finish(r.tr, nil)
+		if size := batchSpanSize(r.tr.Wire().Root); size != "3" {
+			t.Errorf("request pulled in a batch of %q, want all three shapes in one batch", size)
 		}
 		switch {
 		case r.id == 1 && r.n == 2:
@@ -190,6 +219,33 @@ func TestMixedBatchSplitsByShape(t *testing.T) {
 	if plainN != 1 || bigKN != 1 || filteredN != 1 {
 		t.Fatalf("mixed batch misrouted: plain=%d bigK=%d filtered=%d", plainN, bigKN, filteredN)
 	}
+	// One dispatch for the blocker, then one per shape of the shared batch.
+	if st := s.Stats(); st.Batches != 4 || b.plain != 3 || b.filtered != 1 {
+		t.Fatalf("dispatches %d (plain %d, filtered %d), want 4 (3, 1)", st.Batches, b.plain, b.filtered)
+	}
+}
+
+// waitStats polls s.Stats until cond holds, failing the test after 5s.
+func waitStats(t *testing.T, s *Server, cond func(Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(s.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never reached the awaited state: %+v", s.Stats())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// batchSpanSize returns the size attribute of the trace's serve.batch
+// span ("" when absent).
+func batchSpanSize(root *obs.WireSpan) string {
+	for _, c := range root.Children {
+		if c.Name == "serve.batch" {
+			return c.Attrs["size"]
+		}
+	}
+	return ""
 }
 
 func TestFilteredRequestValidation(t *testing.T) {

@@ -3,18 +3,14 @@
 // a concurrent request/response service the way a production ANNS tier
 // would front it.
 //
-// The paper's central observation — DPU throughput is only unlocked by
-// batched dispatch (Fig. 16: per-query cost falls steeply with batch
-// size) — becomes a serving-layer concern here: single-query requests
-// arriving concurrently are coalesced into micro-batches under a
-// max-batch-size / max-linger-time policy before they reach the
-// backend. Four mechanisms cooperate:
+// The paper batches queries to amortize DPU launches (Fig. 16). Here the
+// scan runs on the host, so a request never waits for batch-mates; the
+// batching that remains is what backlog forms. Four mechanisms cooperate:
 //
-//   - micro-batching: a scheduler goroutine drains the admission queue
-//     into batches, dispatching when either MaxBatch requests are
-//     collected or MaxLinger has elapsed since the batch opened, whichever
-//     comes first. Lingering trades a bounded latency penalty on the first
-//     request of a batch for the amortization batched scans need.
+//   - micro-batching: each worker pulls its own batches from the
+//     admission queue. An idle worker takes the first request at once;
+//     requests that queue while it is busy are taken together by its
+//     next pull, up to MaxBatch.
 //
 //   - admission control: the queue is bounded (QueueDepth); requests that
 //     find it full are shed immediately with ErrOverloaded rather than
@@ -79,13 +75,10 @@ type Config struct {
 	// MaxBatch caps queries per backend dispatch (default 32). 1 disables
 	// micro-batching: every request is dispatched alone.
 	MaxBatch int
-	// MaxLinger bounds how long an open batch waits for more requests
-	// (default 200us). 0 means dispatch immediately with whatever is
-	// already queued (greedy coalescing, no waiting).
-	MaxLinger time.Duration
 
 	// QueueDepth bounds the admission queue (default 1024). Requests
-	// arriving when the queue is full are shed with ErrOverloaded.
+	// arriving when the queue is full are shed with ErrOverloaded; at most
+	// QueueDepth requests wait beyond those the workers are running.
 	QueueDepth int
 	// DefaultTimeout is the per-request deadline applied when the caller's
 	// context carries none (default 1s).
@@ -121,7 +114,6 @@ func DefaultConfig() Config {
 	return Config{
 		K:              10,
 		MaxBatch:       32,
-		MaxLinger:      200 * time.Microsecond,
 		QueueDepth:     1024,
 		DefaultTimeout: time.Second,
 		CacheQuantum:   1e-3,
@@ -136,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = d.MaxBatch
-	}
-	if c.MaxLinger < 0 {
-		c.MaxLinger = 0
 	}
 	if c.MaxK <= 0 {
 		c.MaxK = c.K

@@ -43,7 +43,7 @@ func vec(dim int, first float32) []float32 {
 
 func TestServeBasicRouting(t *testing.T) {
 	const dim = 4
-	s, err := NewServer(Config{K: 1, MaxBatch: 8, MaxLinger: time.Millisecond}, echoBackend(dim, 0, nil))
+	s, err := NewServer(Config{K: 1, MaxBatch: 8}, echoBackend(dim, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestServeBasicRouting(t *testing.T) {
 		t.Errorf("latency observations %d, want %d", st.Latency.Count, n)
 	}
 	if st.MeanBatchSize <= 1 {
-		t.Logf("note: mean batch size %.2f (scheduler never coalesced; load too serial)", st.MeanBatchSize)
+		t.Logf("note: mean batch size %.2f (workers never coalesced; load too serial)", st.MeanBatchSize)
 	}
 }
 
 func TestServeMicroBatchingCoalesces(t *testing.T) {
 	const dim = 4
 	// A slow backend forces concurrent requests to pile up and coalesce.
-	s, err := NewServer(Config{K: 1, MaxBatch: 16, MaxLinger: 2 * time.Millisecond, DefaultTimeout: 5 * time.Second},
+	s, err := NewServer(Config{K: 1, MaxBatch: 16, DefaultTimeout: 5 * time.Second},
 		echoBackend(dim, 2*time.Millisecond, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -115,12 +115,12 @@ func TestServeMicroBatchingCoalesces(t *testing.T) {
 	}
 }
 
-// TestServeLingerFlushPartial covers the linger-expiry edge: a lone
-// request must be flushed once MaxLinger elapses even though the batch
-// never fills.
-func TestServeLingerFlushPartial(t *testing.T) {
+// TestServeLoneRequestDispatchedAlone covers the idle-worker edge: a lone
+// request is dispatched at once as a batch of one, never held back to
+// wait for batch-mates.
+func TestServeLoneRequestDispatchedAlone(t *testing.T) {
 	const dim = 4
-	s, err := NewServer(Config{K: 1, MaxBatch: 64, MaxLinger: 5 * time.Millisecond}, echoBackend(dim, 0, nil))
+	s, err := NewServer(Config{K: 1, MaxBatch: 64}, echoBackend(dim, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestServeLingerFlushPartial(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	if elapsed > 500*time.Millisecond {
-		t.Errorf("lone request took %v; linger flush failed", elapsed)
+		t.Errorf("lone request took %v; idle worker did not dispatch it", elapsed)
 	}
 	st := s.Stats()
 	if st.Batches != 1 || st.BatchedQ != 1 {
@@ -159,7 +159,7 @@ func TestServeEmptyFlush(t *testing.T) {
 			return out, nil
 		},
 	}
-	s, err := NewServer(Config{K: 1, MaxBatch: 4, MaxLinger: time.Millisecond, DefaultTimeout: 20 * time.Millisecond}, blocking)
+	s, err := NewServer(Config{K: 1, MaxBatch: 4, DefaultTimeout: 20 * time.Millisecond}, blocking)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +223,8 @@ func TestServeShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// With MaxBatch=1, a blocked worker, and QueueDepth=2, the pipeline
-	// holds at most queue(2) + batcher(1) + work buffer(1) + worker(1)
-	// requests; the rest of these must shed.
+	// With MaxBatch=1, a blocked worker, and QueueDepth=2, the server
+	// holds at most queue(2) + worker(1) requests; the rest must shed.
 	const n = 20
 	var wg sync.WaitGroup
 	var ok, shed atomic.Uint64
@@ -262,9 +261,62 @@ func TestServeShedding(t *testing.T) {
 	if st.Shed != shed.Load() {
 		t.Errorf("stats shed %d != observed %d", st.Shed, shed.Load())
 	}
-	if ok.Load() > 2+1+1+1 {
+	if ok.Load() > 2+1 {
 		t.Errorf("%d requests admitted; admission bound (queue+pipeline) exceeded", ok.Load())
 	}
+}
+
+// TestServeAdmissionBound pins the admission bound to what /stats
+// reports: with every worker blocked in its backend and MaxBatch=1, the
+// server admits exactly QueueDepth + workers requests before it sheds,
+// and the queue it sheds on is the queue_depth Stats shows.
+func TestServeAdmissionBound(t *testing.T) {
+	const dim, workers, depth = 4, 2, 2
+	var calls atomic.Uint64
+	release := make(chan struct{})
+	backends := make([]Backend, workers)
+	for i := range backends {
+		backends[i] = &FuncBackend{D: dim, Fn: func(q *vecmath.Matrix, k int) ([][]topk.Candidate, error) {
+			calls.Add(1)
+			<-release
+			return make([][]topk.Candidate, q.Rows), nil
+		}}
+	}
+	s, err := NewServer(Config{K: 1, MaxBatch: 1, QueueDepth: depth, DefaultTimeout: 5 * time.Second}, backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Submit one request at a time, each only once the previous one is
+	// accounted (admitted or shed) and, while a worker is still idle,
+	// running in a backend.
+	var wg sync.WaitGroup
+	var st Stats
+	for i := 0; st.Shed == 0; i++ {
+		if i > depth+workers+8 {
+			t.Fatalf("no shed after %d admitted requests", st.Accepted)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Search(context.Background(), vec(dim, float32(i)))
+		}()
+		waitStats(t, s, func(st Stats) bool { return st.Accepted+st.Shed == uint64(i+1) })
+		for i < workers && calls.Load() < uint64(i+1) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		st = s.Stats()
+	}
+	if st.Accepted != depth+workers {
+		t.Errorf("admitted %d requests before the first shed, want QueueDepth(%d) + workers(%d)",
+			st.Accepted, depth, workers)
+	}
+	if st.QueueDepth != depth {
+		t.Errorf("queue_depth %d at the first shed, want %d", st.QueueDepth, depth)
+	}
+	close(release)
+	wg.Wait()
+	s.Close()
 }
 
 // TestServeDeadline covers per-request timeouts against a slow backend.
@@ -303,7 +355,7 @@ func TestServeDeadline(t *testing.T) {
 func TestServeConcurrentSubmitShutdown(t *testing.T) {
 	const dim = 4
 	for round := 0; round < 5; round++ {
-		s, err := NewServer(Config{K: 1, MaxBatch: 8, MaxLinger: 100 * time.Microsecond, DefaultTimeout: time.Second},
+		s, err := NewServer(Config{K: 1, MaxBatch: 8, DefaultTimeout: time.Second},
 			echoBackend(dim, 50*time.Microsecond, nil))
 		if err != nil {
 			t.Fatal(err)
@@ -415,7 +467,7 @@ func TestServeCoalescing(t *testing.T) {
 			return out, nil
 		},
 	}
-	s, err := NewServer(Config{K: 1, MaxBatch: 8, MaxLinger: 20 * time.Millisecond, DefaultTimeout: 5 * time.Second}, slow)
+	s, err := NewServer(Config{K: 1, MaxBatch: 8, DefaultTimeout: 5 * time.Second}, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +536,7 @@ func TestServeBackendError(t *testing.T) {
 func TestServeMultipleBackends(t *testing.T) {
 	const dim = 4
 	var calls1, calls2 atomic.Uint64
-	s, err := NewServer(Config{K: 1, MaxBatch: 4, MaxLinger: time.Millisecond, DefaultTimeout: 5 * time.Second},
+	s, err := NewServer(Config{K: 1, MaxBatch: 4, DefaultTimeout: 5 * time.Second},
 		echoBackend(dim, time.Millisecond, &calls1), echoBackend(dim, time.Millisecond, &calls2))
 	if err != nil {
 		t.Fatal(err)

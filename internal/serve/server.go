@@ -39,7 +39,7 @@ type Server struct {
 	cfg Config
 	dim int
 	mb  *microBatcher[*request]
-	wg  sync.WaitGroup // batcher + workers
+	wg  sync.WaitGroup // workers
 
 	mu     sync.RWMutex // guards closed against in-flight enqueues
 	closed bool
@@ -51,8 +51,9 @@ type Server struct {
 }
 
 // NewServer starts a server over the given backends: one worker goroutine
-// per backend, so parallelism equals the number of backend replicas.
-// All backends must share a dimensionality.
+// per backend, so parallelism equals the number of backend replicas. Each
+// worker pulls its own batches from the shared admission queue. All
+// backends must share a dimensionality.
 func NewServer(cfg Config, backends ...Backend) (*Server, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("serve: NewServer needs at least one backend")
@@ -67,16 +68,12 @@ func NewServer(cfg Config, backends ...Backend) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		dim:   dim,
-		mb:    newMicroBatcher[*request](cfg.MaxBatch, cfg.MaxLinger, cfg.QueueDepth, len(backends)),
+		mb:    newMicroBatcher[*request](cfg.MaxBatch, 0, cfg.QueueDepth),
 		keyer: &vecKeyer{quantum: cfg.CacheQuantum},
 		cache: newLRUCache(cfg.CacheSize),
 		lat:   metrics.NewLatencyHistogram(),
 	}
-	s.wg.Add(1 + len(backends))
-	go func() {
-		defer s.wg.Done()
-		s.mb.run()
-	}()
+	s.wg.Add(len(backends))
 	for _, b := range backends {
 		go s.worker(b, dim)
 	}
@@ -261,9 +258,8 @@ func (s *Server) sampleQuality(vec []float32, k int, opts SearchOptions, filterI
 }
 
 // Close stops admission, flushes every queued request through the
-// backends, and waits for the batcher and workers to exit. It is
-// idempotent; Search calls racing with Close either complete normally or
-// return ErrClosed.
+// backends, and waits for the workers to exit. It is idempotent; Search
+// calls racing with Close either complete normally or return ErrClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -272,9 +268,9 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// Admission is fenced above (no Search can enqueue anymore), so the
-	// batcher's drain pass sees a queue that can only shrink.
-	close(s.mb.stopc)
+	// Admission is fenced above (no Search can send anymore), so closing
+	// the queue is safe; the workers drain it until it is empty.
+	close(s.mb.queue)
 	s.wg.Wait()
 }
 
@@ -306,14 +302,19 @@ func newDispatchScratch(maxBatch, dim int) *dispatchScratch {
 	}
 }
 
-// worker owns one backend and executes dispatched batches until the work
-// channel closes. Batch formation itself lives in microBatcher (shared
-// with the write path).
+// worker owns one backend and runs the batches it pulls from the queue
+// until the queue is closed and empty.
 func (s *Server) worker(b Backend, dim int) {
 	defer s.wg.Done()
 	ds := newDispatchScratch(s.cfg.MaxBatch, dim)
-	for bt := range s.mb.work {
+	buf := make([]*request, 0, s.cfg.MaxBatch)
+	for {
+		bt, ok := s.mb.next(buf)
+		if !ok {
+			return
+		}
 		s.runBatch(b, bt, ds)
+		clear(bt.items) // release request pointers held by the buffer
 	}
 }
 
@@ -339,8 +340,8 @@ func (s *Server) runBatch(b Backend, bt batch[*request], ds *dispatchScratch) {
 		return
 	}
 	// Per-request view of batch formation: the queue span is the wait
-	// from admission until this batch opened, the batch span is the
-	// linger spent collecting batch-mates.
+	// from admission until a worker pulled this batch, the batch span is
+	// the time spent collecting batch-mates.
 	for _, r := range live {
 		if r.tr == nil {
 			continue

@@ -13,14 +13,14 @@ import (
 	"repro/internal/vecmath"
 )
 
-// The write path mirrors the read-side micro-batcher: single upsert and
-// delete requests are admitted through a bounded queue, coalesced into
-// batches under the same max-batch / max-linger policy, and applied to
-// the backend in arrival order. Batching matters for the same reason it
-// does on the read side — the updatable index takes one overlay lock per
-// applied batch, and per-write encode work amortizes across a batch —
-// while admission control keeps write bursts from growing an unbounded
-// backlog.
+// The write path shares the read side's micro-batcher: single upsert and
+// delete requests are admitted through a bounded queue, pulled into
+// batches of up to MaxBatch that also wait up to MaxLinger for
+// batch-mates, and applied to the backend in arrival order. Unlike reads,
+// writes linger: the updatable index takes one overlay lock per applied
+// batch, the cache is invalidated once per batch, and per-write encode
+// work amortizes across a batch — while admission control keeps write
+// bursts from growing an unbounded backlog.
 
 // WriteBackend is the write-side counterpart of Backend: a destination
 // for batched upserts and deletes. internal/mutable.UpdatableIndex
@@ -150,17 +150,13 @@ func NewWriteBatcher(cfg WriteConfig, b WriteBackend) *WriteBatcher {
 		cfg: cfg,
 		dim: b.Dim(),
 		b:   b,
-		mb:  newMicroBatcher[*writeReq](cfg.MaxBatch, cfg.MaxLinger, cfg.QueueDepth, 1),
+		mb:  newMicroBatcher[*writeReq](cfg.MaxBatch, cfg.MaxLinger, cfg.QueueDepth),
 		lat: metrics.NewLatencyHistogram(),
 	}
 	if ab, ok := b.(AttrWriteBackend); ok && ab.AttrSchema() != nil {
 		w.ab = ab
 	}
-	w.wg.Add(2)
-	go func() {
-		defer w.wg.Done()
-		w.mb.run()
-	}()
+	w.wg.Add(1)
 	go w.worker()
 	return w
 }
@@ -255,7 +251,7 @@ func (w *WriteBatcher) submit(ctx context.Context, r *writeReq) error {
 }
 
 // Close stops admission, flushes every queued write through the backend,
-// and waits for the batcher and worker to exit. Idempotent.
+// and waits for the worker to exit. Idempotent.
 func (w *WriteBatcher) Close() {
 	w.mu.Lock()
 	if w.closed {
@@ -264,20 +260,26 @@ func (w *WriteBatcher) Close() {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	// Admission is fenced above, so the batcher's drain pass sees a
-	// queue that can only shrink.
-	close(w.mb.stopc)
+	// Admission is fenced above, so closing the queue is safe; the worker
+	// drains it until it is empty.
+	close(w.mb.queue)
 	w.wg.Wait()
 }
 
-// worker applies dispatched batches until the work channel closes. Batch
-// formation lives in microBatcher (shared with the read path).
+// worker applies the batches it pulls from the queue until the queue is
+// closed and empty.
 func (w *WriteBatcher) worker() {
 	defer w.wg.Done()
 	scratch := vecmath.NewMatrix(w.cfg.MaxBatch, w.dim)
 	ids := make([]int64, 0, w.cfg.MaxBatch)
-	for bt := range w.mb.work {
+	buf := make([]*writeReq, 0, w.cfg.MaxBatch)
+	for {
+		bt, ok := w.mb.next(buf)
+		if !ok {
+			return
+		}
 		w.runBatch(bt.items, scratch, ids)
+		clear(bt.items) // release write pointers held by the buffer
 	}
 }
 
