@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ivfpq"
@@ -13,11 +14,12 @@ import (
 )
 
 // The kernelbench experiment: per-kernel achieved bandwidth of the
-// blocked ADC scan path against the retained scalar reference, reported
-// next to the archmodel CPU roofline, plus the end-to-end Search vs
-// SearchReference speedup. Results must be bit-identical between the two
-// paths (checked inline here and pinned by the golden tests), so every
-// ratio below is a pure speed comparison of equivalent computations.
+// blocked ADC scan path and the dsub-8 LUT build against the retained
+// scalar references, reported next to the archmodel CPU roofline, plus
+// the end-to-end Search vs SearchReference speedup. Results must be
+// bit-identical between the two paths (checked inline here and pinned by
+// the golden tests), so every ratio below is a pure speed comparison of
+// equivalent computations.
 //
 // Regression gating works on speedup ratios, not absolute GB/s: absolute
 // bandwidth varies across CI hosts by more than any kernel regression
@@ -34,6 +36,10 @@ var kernelBaselineSpeedup = map[string]float64{
 	"scan_f32":          1.5,
 	"scan_u16":          2.25,
 	"scan_u16_filtered": 1.6,
+	// lut_build includes the uint16 quantize pass both sides share
+	// (observed 2.0x on a 2-core Xeon, where the float build alone is
+	// 2.4x).
+	"lut_build": 1.6,
 	// search_e2e is diluted by probe and heap work outside the kernels
 	// and measures noisier than the pure scans (observed 1.25-1.55x on
 	// one host), so its baseline is set to the low end of that range.
@@ -70,10 +76,6 @@ type KernelsArtifact struct {
 	RooflineGBps float64 `json:"roofline_gbps"`
 
 	Points []KernelPointArtifact `json:"points"`
-
-	// LUT construction has one implementation (both paths share it), so
-	// it reports throughput, not a speedup.
-	LUTEntriesPerSec float64 `json:"lut_entries_per_sec"`
 
 	// End-to-end single-query search, quantized arithmetic, scratch
 	// reused: the optimized pipeline vs the retained scalar reference.
@@ -123,9 +125,6 @@ func (a *KernelsArtifact) Violations() []string {
 	} else if base := kernelBaselineSpeedup["search_e2e"]; a.SearchSpeedup < base*kernelRegressionMargin {
 		v = append(v, fmt.Sprintf("kernels[search_e2e]: speedup %.2fx regressed >10%% below the %.2fx baseline",
 			a.SearchSpeedup, base))
-	}
-	if a.LUTEntriesPerSec <= 0 {
-		v = append(v, "kernels: LUT construction produced no throughput")
 	}
 	return v
 }
@@ -285,20 +284,37 @@ func (c *Context) Kernels() (*Report, error) {
 	}
 	point("scan_u16_filtered", filteredBytes, refD, fastD)
 
-	// LUT construction throughput (shared implementation; no speedup).
-	dim := 32
-	q := ivfpq.Train(randMatrix(r, 2048, dim), ivfpq.Params{NList: 4, M: m, KSub: c.O.KSub, Seed: c.O.Seed}).PQ
+	// LUT construction + quantization at the served shape (D 128, M 16,
+	// so dsub 8, full codebooks): the scalar BuildLUTReference vs the
+	// dsub-8 row kernel. Bandwidth is codebook bytes read per build.
+	const dim, builds = 128, 64
+	q := &pq.Quantizer{Dim: dim, M: m, Dsub: dim / m, KSub: pq.CodebookSize,
+		Codebooks: make([]float32, dim*pq.CodebookSize)}
+	for i := range q.Codebooks {
+		q.Codebooks[i] = float32(r.NormFloat64())
+	}
 	vec := make([]float32, dim)
 	for i := range vec {
 		vec[i] = float32(r.NormFloat64())
 	}
-	lutD := bestOf(reps, func() {
-		for i := 0; i < 64; i++ {
+	refLUT, refTab := make(pq.LUT, len(lut)), make([]uint16, len(qtab))
+	refD, fastD = bestOfPair(reps, func() {
+		for i := 0; i < builds; i++ {
+			q.BuildLUTReference(refLUT, vec)
+			pq.QuantizeWithScaleInto(refTab, refLUT, 1024)
+		}
+	}, func() {
+		for i := 0; i < builds; i++ {
 			q.BuildLUTInto(lut, vec)
 			pq.QuantizeWithScaleInto(qtab, lut, 1024)
 		}
 	})
-	art.LUTEntriesPerSec = float64(64*q.M*q.KSub) / lutD.Seconds()
+	for i := range lut {
+		if math.Float32bits(lut[i]) != math.Float32bits(refLUT[i]) || qtab[i] != refTab[i] {
+			art.Mismatches++
+		}
+	}
+	point("lut_build", float64(builds*len(q.Codebooks)*4), refD, fastD)
 
 	// End-to-end: the full optimized pipeline vs the retained scalar
 	// reference over a real index, quantized arithmetic, one scratch.
@@ -324,7 +340,6 @@ func (c *Context) Kernels() (*Report, error) {
 		Tables: []*metrics.Table{t, e2e},
 		Notes: []string{
 			fmt.Sprintf("archmodel CPU roofline: %.1f GB/s (whole socket); single-core scalar gather saturates load ports well below it", art.RooflineGBps),
-			fmt.Sprintf("LUT construction: %.0f entries/s", art.LUTEntriesPerSec),
 			fmt.Sprintf("obs.Kernel counters during the fast run: %.2f GB/s achieved", art.CounterGBps),
 		},
 		Artifact: art,

@@ -32,16 +32,13 @@ func TestKernelsExperiment(t *testing.T) {
 	if art.Mismatches != 0 {
 		t.Fatalf("%d fast/reference mismatches", art.Mismatches)
 	}
-	if len(art.Points) != 3 {
-		t.Fatalf("%d kernel points, want 3", len(art.Points))
+	if len(art.Points) != 4 {
+		t.Fatalf("%d kernel points, want 4", len(art.Points))
 	}
 	for _, p := range art.Points {
 		if p.RefGBps <= 0 || p.FastGBps <= 0 {
 			t.Errorf("%s: nonpositive bandwidth %+v", p.Name, p)
 		}
-	}
-	if art.LUTEntriesPerSec <= 0 {
-		t.Error("LUT construction throughput is zero")
 	}
 	if art.SearchQPSFast <= 0 || art.SearchQPSRef <= 0 {
 		t.Error("end-to-end search throughput is zero")

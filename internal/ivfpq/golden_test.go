@@ -53,7 +53,10 @@ func sameCandidates(t *testing.T, label string, got, want []topk.Candidate) {
 
 func TestSearchGoldenEquivalence(t *testing.T) {
 	r := xrand.New(2024)
-	for si, sh := range goldenShapes(r, 8) {
+	// The fixed last shape has dsub 8, so pq's LUT row kernel is always
+	// checked against BuildLUTReference, whatever the random shapes draw.
+	shapes := append(goldenShapes(r, 8), goldenShape{rows: 2500, dim: 32, nlist: 16, m: 4, nprobe: 6, k: 10})
+	for si, sh := range shapes {
 		ix, data := buildIndex(t, uint64(100+si), sh.rows, sh.dim, sh.nlist, sh.m)
 		// Selectivities from near-empty through everything; the modulus
 		// predicate is deterministic, so both paths see the same allow set.

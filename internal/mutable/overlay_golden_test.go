@@ -1,6 +1,7 @@
 package mutable
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/filter"
@@ -39,8 +40,8 @@ func overlayTestIndex(t *testing.T, rows, dim, nlist, m int) (*UpdatableIndex, *
 }
 
 // scalarOverlayScan recomputes what the overlay scan should produce using the
-// retained per-entry scalar arithmetic (QLUT.QDistance + ToFloat), one
-// heap per query. Caller holds u.mu.RLock.
+// retained per-entry scalar arithmetic (BuildLUTReference, QLUT.QDistance
+// + ToFloat), one heap per query. Caller holds u.mu.RLock.
 func scalarOverlayScan(u *UpdatableIndex, snap *snapshot, queries *vecmath.Matrix, probes [][]int32, k int, match func(int64) bool) [][]topk.Candidate {
 	m := snap.ix.PQ.M
 	out := make([][]topk.Candidate, queries.Rows)
@@ -64,7 +65,8 @@ func scalarOverlayScan(u *UpdatableIndex, snap *snapshot, queries *vecmath.Matri
 				}
 				if ql == nil {
 					snap.ix.Coarse.Residual(resid, queries.Row(qi), cl)
-					lut := snap.ix.PQ.BuildLUT(resid)
+					lut := make(pq.LUT, m*pq.CodebookSize)
+					snap.ix.PQ.BuildLUTReference(lut, resid)
 					ql = snap.ix.PQ.QuantizeWithScale(lut, snap.ix.QScale)
 				}
 				heap.Push(id, ql.ToFloat(ql.QDistance(lg.codes[i*m:(i+1)*m])))
@@ -76,10 +78,17 @@ func scalarOverlayScan(u *UpdatableIndex, snap *snapshot, queries *vecmath.Matri
 }
 
 func TestScanOverlayGoldenEquivalence(t *testing.T) {
-	const (
-		rows, dim, nlist, m = 2000, 16, 12, 8
-		k                   = 10
-	)
+	// dim 16 / M 8 builds LUTs with the generic loop, dim 32 / M 4
+	// (dsub 8) with pq's row kernel.
+	for _, sh := range []struct{ dim, m int }{{16, 8}, {32, 4}} {
+		t.Run(fmt.Sprintf("dim%d_m%d", sh.dim, sh.m), func(t *testing.T) {
+			checkScanOverlayGolden(t, sh.dim, sh.m)
+		})
+	}
+}
+
+func checkScanOverlayGolden(t *testing.T, dim, m int) {
+	const rows, nlist, k = 2000, 12, 10
 	u, _ := overlayTestIndex(t, rows, dim, nlist, m)
 	r := xrand.New(17)
 

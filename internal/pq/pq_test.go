@@ -1,7 +1,11 @@
 package pq
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -208,6 +212,173 @@ func TestEncodeReusesDst(t *testing.T) {
 	out := q.Encode(dst, data.Row(0))
 	if &out[0] != &dst[0] {
 		t.Fatal("Encode did not reuse dst")
+	}
+}
+
+// randomQuantizer builds an untrained quantizer with Gaussian codebook
+// entries of the given scale — enough to exercise LUT construction at any
+// shape without paying k-means.
+func randomQuantizer(r *xrand.RNG, m, dsub, ksub int, scale float64) *Quantizer {
+	q := &Quantizer{Dim: m * dsub, M: m, Dsub: dsub, KSub: ksub, Codebooks: make([]float32, m*ksub*dsub)}
+	for i := range q.Codebooks {
+		q.Codebooks[i] = float32(r.NormFloat64() * scale)
+	}
+	return q
+}
+
+// sameBits reports whether a and b are the same float32 bit pattern;
+// any two NaNs count as equal, since IEEE leaves NaN payloads to the
+// hardware.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// checkLUTMatchesReference builds vec's table with BuildLUTInto and
+// BuildLUTReference and demands bitwise-equal float tables and equal
+// uint16 tables at every scale.
+func checkLUTMatchesReference(t *testing.T, label string, q *Quantizer, vec []float32, scales []float32) {
+	t.Helper()
+	got, want := make(LUT, q.M*CodebookSize), make(LUT, q.M*CodebookSize)
+	q.BuildLUTInto(got, vec)
+	q.BuildLUTReference(want, vec)
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: entry %d = %v (%#x), reference %v (%#x)", label, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+	gq, wq := make([]uint16, len(got)), make([]uint16, len(want))
+	for _, s := range scales {
+		QuantizeWithScaleInto(gq, got, s)
+		QuantizeWithScaleInto(wq, want, s)
+		for i := range gq {
+			if gq[i] != wq[i] {
+				t.Fatalf("%s: scale %v: u16 entry %d = %d, reference %d", label, s, i, gq[i], wq[i])
+			}
+		}
+	}
+}
+
+// TestBuildLUTMatchesReference pins BuildLUTInto — the dsub-8 row kernel
+// and the dispatch around it — to the scalar BuildLUTReference bit for
+// bit, float and uint16 tables alike, across subspace widths, codebook
+// sizes and query magnitudes from 1e-4 to 1e4. The third scale
+// saturates part of every table at 65535.
+func TestBuildLUTMatchesReference(t *testing.T) {
+	r := xrand.New(27)
+	for _, dsub := range []int{1, 2, 3, 4, 8, 16} {
+		for _, ksub := range []int{2, 17, 256} {
+			for _, mag := range []float64{1e-4, 1e-2, 1, 1e2, 1e4} {
+				q := randomQuantizer(r, 16, dsub, ksub, mag)
+				vec := make([]float32, q.Dim)
+				for i := range vec {
+					vec[i] = float32(r.NormFloat64() * mag)
+				}
+				ref := q.BuildLUT(vec)
+				var maxV float32
+				for _, v := range ref {
+					maxV = max(maxV, v)
+				}
+				saturating := 65535 / (maxV / 2)
+				label := fmt.Sprintf("dsub=%d ksub=%d mag=%g", dsub, ksub, mag)
+				checkLUTMatchesReference(t, label, q, vec, []float32{1, 1024, saturating})
+				qt := make([]uint16, len(ref))
+				QuantizeWithScaleInto(qt, ref, saturating)
+				if slices.Max(qt) != 65535 {
+					t.Fatalf("%s: scale %v saturates nothing", label, saturating)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLUTBuild feeds fuzzer-chosen shapes, query bits and codebook bits
+// (infinities and NaNs included) through BuildLUTInto and Encode and
+// cross-checks both against their scalar references.
+func FuzzLUTBuild(f *testing.F) {
+	f.Add(uint8(4), uint8(16), uint8(255), []byte{0, 0, 128, 63, 0, 0, 0, 64})
+	f.Add(uint8(0), uint8(1), uint8(0), []byte{})
+	f.Add(uint8(2), uint8(3), uint8(15), []byte{0, 0, 128, 127, 0, 0, 192, 127})
+	f.Fuzz(func(t *testing.T, dRaw, mRaw, kRaw uint8, raw []byte) {
+		dsubs := []int{1, 2, 3, 4, 8, 16}
+		dsub, m, ksub := dsubs[int(dRaw)%len(dsubs)], int(mRaw)%4+1, int(kRaw)%(CodebookSize-1)+2
+		r := xrand.New(uint64(len(raw)))
+		q := randomQuantizer(r, m, dsub, ksub, 1)
+		vec := make([]float32, q.Dim)
+		for i := range vec {
+			vec[i] = float32(r.NormFloat64())
+		}
+		// The fuzzer's bytes overwrite the query first, then the codebooks.
+		for i := 0; i+4 <= len(raw); i += 4 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(raw[i:]))
+			if j := i / 4; j < len(vec) {
+				vec[j] = v
+			} else if j-len(vec) < len(q.Codebooks) {
+				q.Codebooks[j-len(vec)] = v
+			}
+		}
+		label := fmt.Sprintf("dsub=%d m=%d ksub=%d", dsub, m, ksub)
+		checkLUTMatchesReference(t, label, q, vec, []float32{1, 1024})
+		if got, want := q.Encode(nil, vec), encodeReference(q, vec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Encode %v, reference %v", label, got, want)
+		}
+	})
+}
+
+// encodeReference is Encode's original loop: one L2Squared call per
+// entry, first argmin.
+func encodeReference(q *Quantizer, vec []float32) []uint8 {
+	codes := make([]uint8, q.M)
+	for mi := range codes {
+		sv := vec[mi*q.Dsub : (mi+1)*q.Dsub]
+		best, bestD := 0, vecmath.L2Squared(sv, q.CodebookEntry(mi, 0))
+		for j := 1; j < q.KSub; j++ {
+			if d := vecmath.L2Squared(sv, q.CodebookEntry(mi, j)); d < bestD {
+				best, bestD = j, d
+			}
+		}
+		codes[mi] = uint8(best)
+	}
+	return codes
+}
+
+// TestEncodeMatchesReference pins Encode to the reference loop at every
+// subspace width, including exact ties: codebooks with only three
+// distinct entries repeated across KSub slots make every distance tie
+// with its duplicates, and the lowest code must win.
+func TestEncodeMatchesReference(t *testing.T) {
+	r := xrand.New(28)
+	for _, dsub := range []int{1, 2, 4, 8, 16} {
+		for _, ksub := range []int{2, 17, 256} {
+			q := randomQuantizer(r, 16, dsub, ksub, 1)
+			// Entry j copies entry j%3 in every subspace.
+			for mi := 0; mi < q.M; mi++ {
+				for j := 3; j < ksub; j++ {
+					copy(q.CodebookEntry(mi, j), q.CodebookEntry(mi, j%3))
+				}
+			}
+			vec := make([]float32, q.Dim)
+			for trial := 0; trial < 20; trial++ {
+				for i := range vec {
+					vec[i] = float32(r.NormFloat64())
+				}
+				if trial%2 == 1 {
+					// Sit exactly on a duplicated entry: distance 0, tied.
+					for mi := 0; mi < q.M; mi++ {
+						copy(vec[mi*dsub:(mi+1)*dsub], q.CodebookEntry(mi, ksub-1))
+					}
+				}
+				got, want := q.Encode(nil, vec), encodeReference(q, vec)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("dsub=%d ksub=%d trial %d: Encode %v, reference %v", dsub, ksub, trial, got, want)
+				}
+				for _, c := range got {
+					if int(c) >= min(3, ksub) {
+						t.Fatalf("dsub=%d ksub=%d: code %d is a duplicate, not the first argmin", dsub, ksub, c)
+					}
+				}
+			}
+		}
 	}
 }
 

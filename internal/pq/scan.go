@@ -26,6 +26,15 @@ package pq
 // (g = (e0+e1)+(e2+e3), groups and tail entries chained in subspace
 // order), so float distances are bit-identical across paths. Integer
 // (uint16 LUT) sums are order-independent and exact by construction.
+//
+// LUT construction is held to the same standard: BuildLUTInto's dsub-8
+// row kernel sums squared differences in vecmath.L2Squared's order, so
+// its tables equal BuildLUTReference's bit for bit. That also needs one
+// portability rule: every float product on these paths is spelled
+// float32(x*y). The Go spec lets a compiler fuse x*y+z into one FMA —
+// arm64 does — and an explicit conversion is the only thing that
+// forbids it, so without it bit-identity would depend on GOARCH.
+// scripts/check_fma.sh reads the arm64 assembly to enforce the rule.
 
 // ScanBlock is the number of vectors callers should scan per kernel call:
 // the dists accumulator (1–2 KB) then stays L1-resident alongside the LUT.

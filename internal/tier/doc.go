@@ -12,7 +12,12 @@
 //     rebalanced as the workload shifts;
 //   - an async prefetcher: the clusters a query's coarse quantization
 //     names are warmed in the background so the ADC scan finds them
-//     resident by the time it reaches them;
+//     resident by the time it reaches them. A search never waits for a
+//     prefetch that no worker has started: it claims the entry, streams
+//     the cluster cold itself, and the worker skips it. Only a read
+//     already in flight is waited for. So issued − hits counts the
+//     prefetches searches overtook (plus failed reads), and the hot-hit
+//     rate counts an overtaken prefetch as a miss;
 //   - a cold path that streams ids and codes in ScanBlock-sized chunks,
 //     so a scan over a cluster far larger than cache never inflates the
 //     heap.

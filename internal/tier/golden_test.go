@@ -135,7 +135,10 @@ func TestTieredSearchGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		n = 2
 	}
-	for si, sh := range goldenShapes(r, n) {
+	// The fixed last shape has dsub 8, so pq's LUT row kernel is always
+	// checked against BuildLUTReference, whatever the random shapes draw.
+	shapes := append(goldenShapes(r, n), goldenShape{rows: 2000, dim: 32, nlist: 12, m: 4, nprobe: 5, k: 10})
+	for si, sh := range shapes {
 		ix, data := buildIndex(t, uint64(300+si), sh.rows, sh.dim, sh.nlist, sh.m)
 		setups := tieredSetups(t, ix)
 		preds := []struct {

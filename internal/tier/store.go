@@ -1,7 +1,6 @@
 package tier
 
 import (
-	"errors"
 	"log"
 	"strconv"
 	"sync"
@@ -47,9 +46,14 @@ type slab struct {
 
 func (sl *slab) bytes() int64 { return int64(len(sl.ids))*8 + int64(len(sl.codes)) }
 
-// warmEntry tracks one in-flight (or finished) prefetch. ready closes
-// exactly once, after slab/err/readyAt are set.
+// warmEntry tracks one queued prefetch. claimed is taken exactly once,
+// by whichever of a prefetch worker and a search gets there first. A
+// worker that wins reads the cluster and closes ready after
+// slab/err/readyAt are set; a search that wins streams the cluster cold
+// itself and the worker skips the entry. So ready is only ever waited on
+// for a read already in flight.
 type warmEntry struct {
+	claimed atomic.Bool
 	ready   chan struct{}
 	slab    *slab
 	err     error
@@ -60,11 +64,6 @@ type prefetchReq struct {
 	c int32
 	e *warmEntry
 }
-
-var (
-	errPrefetchDropped = errors.New("tier: prefetch queue full")
-	errStoreClosed     = errors.New("tier: store closed")
-)
 
 // Store layers residency management over a ClusterSource: a pinned hot
 // set chosen by access frequency under Config.HotBytes, an async
@@ -173,7 +172,8 @@ func (s *Store) Hint(probes []int32) {
 // Prefetch hands the not-yet-resident clusters in probes to the
 // background warmers. Duplicate and already-resident clusters are
 // skipped; when the queue is full the request is dropped and the search
-// will stream that cluster cold. Never blocks.
+// will stream that cluster cold, as it will any prefetch it reaches
+// before a worker has started it. Never blocks.
 func (s *Store) Prefetch(probes []int32) {
 	if s.cfg.PrefetchWorkers == 0 {
 		return
@@ -195,20 +195,14 @@ func (s *Store) Prefetch(probes []int32) {
 			continue
 		}
 		e := &warmEntry{ready: make(chan struct{})}
-		s.warm[c] = e
-		// Send while still holding warmMu: Close flips s.closed under the
-		// same lock before draining reqc, so an enqueued request can never
-		// slip in after the drain and strand a claimer.
 		select {
 		case s.reqc <- prefetchReq{c: c, e: e}:
+			s.warm[c] = e
 			s.warmMu.Unlock()
 			s.prefIssued.Add(1)
 			obs.Tier.RecordPrefetchIssued()
 		default:
-			delete(s.warm, c)
 			s.warmMu.Unlock()
-			e.err = errPrefetchDropped
-			close(e.ready)
 			s.prefDropped.Add(1)
 		}
 	}
@@ -221,6 +215,9 @@ func (s *Store) prefetchWorker() {
 		case <-s.stopc:
 			return
 		case req := <-s.reqc:
+			if !req.e.claimed.CompareAndSwap(false, true) {
+				continue // a search overtook it and read the cluster itself
+			}
 			sl, err := s.readCluster(req.c)
 			req.e.slab, req.e.err = sl, err
 			req.e.readyAt = time.Now()
@@ -229,8 +226,12 @@ func (s *Store) prefetchWorker() {
 	}
 }
 
-// claimWarm removes cluster c's prefetch entry, waits for it, and
-// returns it. ok is false when no prefetch was in flight.
+// claimWarm removes cluster c's prefetch entry and, when a worker has
+// already started its read, waits for that read and returns the entry.
+// ok is false when there is nothing to wait for: no prefetch was queued,
+// or none had started — that one is claimed here so its worker skips
+// it, and the caller streams the cluster cold instead of waiting on a
+// hand-off.
 func (s *Store) claimWarm(c int32) (*warmEntry, bool) {
 	s.warmMu.Lock()
 	e := s.warm[c]
@@ -238,7 +239,7 @@ func (s *Store) claimWarm(c int32) (*warmEntry, bool) {
 		delete(s.warm, c)
 	}
 	s.warmMu.Unlock()
-	if e == nil {
+	if e == nil || e.claimed.CompareAndSwap(false, true) {
 		return nil, false
 	}
 	<-e.ready
@@ -246,8 +247,10 @@ func (s *Store) claimWarm(c int32) (*warmEntry, bool) {
 }
 
 // acquire returns cluster c's payload if it can be served from memory:
-// the pinned hot set, a source-resident slab, or a finished prefetch.
-// ok == false means the caller must stream the cluster cold.
+// the pinned hot set, a source-resident slab, or a prefetch that is
+// finished or in flight. ok == false means the caller must stream the
+// cluster cold — including when it overtook a prefetch no worker had
+// started, which counts as a miss.
 func (s *Store) acquire(c int32) (ids []int64, codes []uint8, ok bool) {
 	if sl := s.hot[c].Load(); sl != nil {
 		s.hotHits.Add(1)
@@ -501,8 +504,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close stops the workers and fails any queued prefetches so no claimer
-// blocks forever. Idempotent; must not race with in-flight searches.
+// Close stops the workers, letting any in-flight read finish; later
+// Prefetch calls are no-ops. Prefetches still queued stay unstarted, so
+// a later claim overtakes them rather than waits. Idempotent; must not
+// race with in-flight searches.
 func (s *Store) Close() {
 	s.stopOnce.Do(func() {
 		s.warmMu.Lock()
@@ -510,14 +515,5 @@ func (s *Store) Close() {
 		s.warmMu.Unlock()
 		close(s.stopc)
 		s.wg.Wait()
-		for {
-			select {
-			case req := <-s.reqc:
-				req.e.err = errStoreClosed
-				close(req.e.ready)
-			default:
-				return
-			}
-		}
 	})
 }

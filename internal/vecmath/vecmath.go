@@ -9,6 +9,11 @@ import "math"
 
 // L2Squared returns the squared Euclidean distance between a and b.
 // It panics if the lengths differ.
+//
+// Every product is rounded by an explicit float32 conversion. The Go
+// spec lets a compiler fuse x*y+z into one FMA (arm64 does), and the
+// conversion forbids that, so the result — and every LUT built from it —
+// is the same on every GOARCH. pq's dsub-8 LUT kernel relies on this.
 func L2Squared(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: length mismatch")
@@ -20,14 +25,14 @@ func L2Squared(a, b []float32) float32 {
 		d1 := a[i+1] - b[i+1]
 		d2 := a[i+2] - b[i+2]
 		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float32(d0 * d0)
+		s1 += float32(d1 * d1)
+		s2 += float32(d2 * d2)
+		s3 += float32(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s0 += float32(d * d)
 	}
 	return s0 + s1 + s2 + s3
 }
