@@ -70,7 +70,3 @@ func BenchmarkFig18TopKSize(b *testing.B)            { runExperiment(b, "fig18")
 func BenchmarkFig19TimeBreakdown(b *testing.B)       { runExperiment(b, "fig19") }
 func BenchmarkFig20DPUScalability(b *testing.B)      { runExperiment(b, "fig20") }
 func BenchmarkRecallValidation(b *testing.B)         { runExperiment(b, "recall") }
-func BenchmarkServingQPSCurve(b *testing.B)          { runExperiment(b, "serving") }
-func BenchmarkUpdatesChurn(b *testing.B)             { runExperiment(b, "updates") }
-func BenchmarkClusterScatterGather(b *testing.B)     { runExperiment(b, "cluster") }
-func BenchmarkFilteredSelectivity(b *testing.B)      { runExperiment(b, "filtered") }

@@ -1,15 +1,18 @@
 // Command upanns-bench regenerates the paper's evaluation artifacts: every
-// table and figure of Section 5, at a configurable scaled-down size.
+// table and figure of Section 5, at a configurable scaled-down size, plus
+// the ADC kernels' bit-identity and speedup gate. The live serving path is
+// measured by the repo benchmark (go run ./benchmark), not here.
 //
 // Usage:
 //
-//	upanns-bench [flags] -exp all|table1|fig1|...|fig20|kernels|recall|serving|updates|cluster|filtered
+//	upanns-bench [flags] -exp all|table1|intro|fig1|fig4|fig7|fig10|...|fig20|kernels|recall
 //
 // Examples:
 //
 //	upanns-bench -exp fig10                # one experiment at defaults
 //	upanns-bench -exp all -n 96000 -dpus 64
 //	upanns-bench -exp all -quick           # reduced grid for a fast pass
+//	upanns-bench -exp kernels -quick -json out -check   # the CI kernel gate
 package main
 
 import (

@@ -74,10 +74,11 @@
 //     and a disabled tracer costs a nil check;
 //
 //   - harness: internal/bench regenerates every table and figure of the
-//     paper's evaluation plus the serving, updates, cluster, filtered,
-//     tiered, and quality sweeps, each with self-checking machine-readable
-//     artifacts; the root-level benchmarks in bench_test.go expose one
-//     testing.B target per artifact.
+//     paper's evaluation on the simulated deployment, plus the ADC
+//     kernels' bit-identity and speedup gate; the root-level benchmarks
+//     in bench_test.go expose one testing.B target per paper artifact.
+//     The live serving path is measured by the repo benchmark
+//     (benchmark/, run with go run ./benchmark) over real HTTP.
 //
 // Entry points: cmd/upanns-datagen (dataset files), cmd/upanns-search
 // (one-shot search), cmd/upanns-bench (experiments at configurable

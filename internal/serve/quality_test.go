@@ -99,6 +99,92 @@ func TestShadowDoesNotInflateServingCounters(t *testing.T) {
 	}
 }
 
+// TestQualityEstimateBracketsTrueRecall pins the estimator's accuracy
+// where it has to extrapolate: the deployment probes 2 of 16 clusters, so
+// its true recall is below 1, and the plane head-samples one query in
+// four. The population truth comes from exact oracle re-execution of the
+// whole stream, and must sit inside the estimator's Wilson interval,
+// widened by a small slack: the sampled subset's recall differs from the
+// population's by more than the binomial term the interval models.
+func TestQualityEstimateBracketsTrueRecall(t *testing.T) {
+	const (
+		dim         = 16
+		k           = 10
+		queries     = 200
+		sampleEvery = 4
+		slack       = 0.05
+	)
+	r := xrand.New(11)
+	base := vecmath.NewMatrix(2000, dim)
+	for i := range base.Data {
+		base.Data[i] = float32(r.NormFloat64())
+	}
+	ix := ivfpq.Train(base, ivfpq.Params{NList: 16, M: 4, KSub: 16, Seed: 7})
+	ix.Add(base, 0)
+	cfg := mutable.ServingConfig(2, k, 2, 1)
+	cfg.CheckInterval = -1
+	u, err := mutable.New(ix, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Close)
+
+	quality := obs.NewQuality(obs.QualityConfig{
+		ShardID: "s0", SampleEvery: sampleEvery, QueueDepth: 4096,
+	}, u.QualityOracle(), u.ClusterOccupancy, nil)
+	t.Cleanup(quality.Close)
+	s, err := NewServer(Config{K: k, Quality: quality}, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+
+	// Held-out queries: base rows would find themselves at distance ~0.
+	qs := vecmath.NewMatrix(queries, dim)
+	for i := range qs.Data {
+		qs.Data[i] = float32(r.NormFloat64())
+	}
+	ctx := context.Background()
+	hits := 0
+	for qi := 0; qi < queries; qi++ {
+		res, err := s.Search(ctx, qs.Row(qi))
+		if err != nil {
+			t.Fatalf("search %d: %v", qi, err)
+		}
+		truth, err := u.SearchOracle(qs.Row(qi), k, nil)
+		if err != nil {
+			t.Fatalf("oracle %d: %v", qi, err)
+		}
+		want := make(map[int64]bool, len(truth.Truth))
+		for _, c := range truth.Truth {
+			want[c.ID] = true
+		}
+		for _, c := range res {
+			if want[c.ID] {
+				hits++
+			}
+		}
+	}
+	if !quality.Drain(30 * time.Second) {
+		t.Fatal("shadow queue did not drain")
+	}
+
+	trueRecall := float64(hits) / float64(queries*k)
+	est := quality.Snapshot().Recall
+	if est.Samples != queries/sampleEvery {
+		t.Fatalf("estimator saw %d samples, want %d", est.Samples, queries/sampleEvery)
+	}
+	if trueRecall >= 1 {
+		t.Fatalf("true recall %.4f: nprobe 2 of 16 should miss some neighbors, or the estimate never extrapolates", trueRecall)
+	}
+	if trueRecall < est.CILow-slack || trueRecall > est.CIHigh+slack {
+		t.Fatalf("true recall %.4f outside estimator CI [%.4f, %.4f] (+/- %.2f slack); estimate %.4f",
+			trueRecall, est.CILow, est.CIHigh, slack, est.Estimate)
+	}
+	t.Logf("true recall %.4f, estimate %.4f, CI [%.4f, %.4f] over %d samples",
+		trueRecall, est.Estimate, est.CILow, est.CIHigh, est.Samples)
+}
+
 // TestShadowExcludedFromSLORequestWindows drives live traffic through a
 // quality-enabled server whose SLO tracker owns both the request
 // objectives and the quality objective: shadow samples must land only

@@ -243,8 +243,10 @@ func TestServeShedding(t *testing.T) {
 			}
 		}(i)
 	}
-	// Let the pipeline saturate, then release the backend.
-	for s.Stats().Shed == 0 {
+	// Let every request meet admission while the worker is blocked, then
+	// release the backend. Releasing at the first shed would let a
+	// goroutine that had not yet reached admission into the drained queue.
+	for st := s.Stats(); st.Accepted+st.Shed < n; st = s.Stats() {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

@@ -68,7 +68,8 @@ func sameCandidates(t *testing.T, label string, got, want []topk.Candidate) {
 
 // tieredSetups covers the residency regimes a tiered search can meet:
 // everything source-resident, everything cold, a frequency-pinned hot
-// half, and cold with the async prefetcher racing the scan.
+// half, cold with the async prefetcher racing the scan, and a
+// frequency-pinned hot quarter with prefetching (4x budget pressure).
 func tieredSetups(t testing.TB, ix *ivfpq.Index) map[string]*Index {
 	t.Helper()
 	setups := make(map[string]*Index)
@@ -101,6 +102,15 @@ func tieredSetups(t testing.TB, ix *ivfpq.Index) map[string]*Index {
 	hot.Rebalance()
 	if hot.Stats().HotClusters == 0 {
 		t.Fatalf("hot-half setup pinned nothing under budget %d", total/2)
+	}
+
+	// 4x budget pressure: the corpus is four times what the hot set may
+	// pin, so most probed clusters are served by the prefetcher or cold.
+	quarter := mk("image-hot-quarter", NewImageSource(imageFor(t, ix)), Config{HotBytes: total / 4, PrefetchWorkers: 2})
+	quarter.SeedFrequencies(freqs)
+	quarter.Rebalance()
+	if quarter.Stats().HotClusters == 0 {
+		t.Fatalf("hot-quarter setup pinned nothing under budget %d", total/4)
 	}
 
 	return setups
