@@ -6,7 +6,7 @@
 //   - substrate: internal/vecmath (float32 matrices and distance
 //     kernels), internal/xrand (seeded RNG — every experiment replays
 //     bit-for-bit), internal/dataset (synthetic SIFT/DEEP/SPACEV-like
-//     generators, fvecs/bvecs/ivecs codecs, exact ground truth);
+//     generators, fvecs/ivecs codecs, exact ground truth);
 //
 //   - index: internal/ivfpq with internal/kmeans, internal/pq and
 //     internal/ivf (the shared IVFPQ index and its serialization),

@@ -99,30 +99,6 @@ func (s StageTimes) Total() float64 {
 	return s.Filter + s.LUT + s.Distance + s.TopK + s.Other
 }
 
-// Add accumulates o into s.
-func (s *StageTimes) Add(o StageTimes) {
-	s.Filter += o.Filter
-	s.LUT += o.LUT
-	s.Distance += o.Distance
-	s.TopK += o.TopK
-	s.Other += o.Other
-}
-
-// Shares returns each stage's fraction of the total (Figs. 1 and 19).
-func (s StageTimes) Shares() map[string]float64 {
-	t := s.Total()
-	if t == 0 {
-		return map[string]float64{}
-	}
-	return map[string]float64{
-		"filter":   s.Filter / t,
-		"lut":      s.LUT / t,
-		"distance": s.Distance / t,
-		"topk":     s.TopK / t,
-		"other":    s.Other / t,
-	}
-}
-
 // Workload counts the operations of one batch, gathered from functional
 // execution of the shared IVFPQ index.
 type Workload struct {

@@ -1,9 +1,6 @@
 package archmodel
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // paperWorkload builds the operation counts of one query batch at a given
 // scale, using the Fig. 1 parameters: M=32 LUT... actually Fig. 1 uses
@@ -77,29 +74,10 @@ func TestGPUOOM(t *testing.T) {
 	}
 }
 
-func TestStageTimesTotalAndShares(t *testing.T) {
+func TestStageTimesTotal(t *testing.T) {
 	s := StageTimes{Filter: 1, LUT: 2, Distance: 3, TopK: 4}
 	if s.Total() != 10 {
 		t.Fatalf("Total = %v", s.Total())
-	}
-	sh := s.Shares()
-	if math.Abs(sh["distance"]-0.3) > 1e-12 {
-		t.Fatalf("distance share %v", sh["distance"])
-	}
-	var sum float64
-	for _, v := range sh {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("shares sum to %v", sum)
-	}
-}
-
-func TestStageTimesAdd(t *testing.T) {
-	a := StageTimes{Filter: 1, LUT: 1, Distance: 1, TopK: 1, Other: 1}
-	a.Add(StageTimes{Filter: 2, Distance: 3})
-	if a.Filter != 3 || a.Distance != 4 || a.Total() != 10 {
-		t.Fatalf("Add wrong: %+v", a)
 	}
 }
 
@@ -109,12 +87,6 @@ func TestQPS(t *testing.T) {
 	}
 	if q := QPS(10, 0); q != 0 {
 		t.Fatalf("QPS(.,0) = %v", q)
-	}
-}
-
-func TestSharesEmpty(t *testing.T) {
-	if len((StageTimes{}).Shares()) != 0 {
-		t.Fatal("zero StageTimes should give empty shares")
 	}
 }
 

@@ -4,8 +4,8 @@
 // modelled time via the Table 1 roofline models (package archmodel).
 //
 // The paper's third comparator, PIM-naive, is the core engine built with
-// core.NaiveConfig(); see NewPIMNaive in this package for the convenience
-// constructor.
+// core.NaiveConfig(): random cluster placement, plain PQ codes and
+// unpruned top-k merges.
 package baseline
 
 import (

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ivfpq"
 	"repro/internal/pim"
@@ -98,7 +99,9 @@ func TestPIMNaiveMatchesReference(t *testing.T) {
 	spec.NumDIMMs = 1
 	spec.DPUsPerDIMM = 8
 	sys := pim.NewSystem(spec)
-	naive, err := NewPIMNaive(ix, sys, 4, 10)
+	cfg := core.NaiveConfig()
+	cfg.NProbe, cfg.K = 4, 10
+	naive, err := core.Build(ix, sys, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,20 +129,6 @@ func (a *KernelsArtifact) Violations() []string {
 	return v
 }
 
-// bestOf runs f reps times and returns the fastest wall time — the
-// standard defense against scheduler noise on shared CI hosts.
-func bestOf(reps int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		f()
-		if d := time.Since(t0); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // bestOfPair interleaves reference and fast passes rep by rep and keeps
 // each side's best. Interleaving matters for the speedup ratios: on a
 // shared host a noisy phase that hit only one side would skew the ratio

@@ -47,8 +47,8 @@
 //
 // cmd/upanns-router wraps a Router in the HTTP surface (POST /search
 // /upsert /delete, aggregated GET /stats, GET /healthz, graceful drain);
-// examples/cluster boots a router plus three shards in one process; the
-// bench "cluster" experiment measures recall parity against a single
-// host, tail latency versus shard count, and behavior with a shard
-// killed mid-run.
+// examples/cluster boots a router plus three shards in one process and
+// checks recall parity against a single host and behavior with a shard
+// killed mid-run; the benchmark's fleet workloads (go run ./benchmark)
+// measure the router's latency and throughput over real HTTP.
 package cluster

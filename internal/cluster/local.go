@@ -17,9 +17,9 @@ import (
 // This file boots a real shard fleet inside one process: each shard is a
 // full mutable UpANNS deployment (its own trained index, simulated PIM
 // system, micro-batching server and write batcher) behind the actual
-// shard HTTP surface on a loopback listener. examples/cluster, the bench
-// "cluster" experiment, and kill/rejoin drills use it to exercise the
-// router against live shards without spawning processes.
+// shard HTTP surface on a loopback listener. examples/cluster, the
+// benchmark's fleet workloads, and kill/rejoin drills use it to exercise
+// the router against live shards without spawning processes.
 
 // LocalOptions sizes an in-process shard fleet.
 type LocalOptions struct {
@@ -51,7 +51,8 @@ type LocalOptions struct {
 	// Trace, when true, gives each shard its own request tracer, so
 	// fanouts carrying a traceparent header come back with shard-side
 	// span trees and each shard's GET /trace/recent is populated. Off by
-	// default: bench experiments measure tracing overhead explicitly.
+	// default: the benchmark measures tracing overhead explicitly
+	// (trace.overhead_pct).
 	Trace bool
 	// Obs, when true, wires the full health plane into each shard: an
 	// SLO burn-rate tracker served at GET /slo, and a per-query cost

@@ -13,9 +13,9 @@
 //     stamping motif blocks — shared sub-vector content at fixed positions —
 //     onto a fraction of the points.
 //
-// The package also implements the fvecs/bvecs/ivecs binary codecs used by
-// the real datasets, so anyone holding SIFT1B can substitute the genuine
-// files, and exact brute-force ground truth for recall measurement.
+// The package also implements the fvecs/ivecs binary codecs, so genuine
+// fvecs files (SIFT1M's, for one) can be substituted, and exact
+// brute-force ground truth for recall measurement.
 package dataset
 
 import (

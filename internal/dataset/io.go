@@ -10,9 +10,9 @@ import (
 	"repro/internal/vecmath"
 )
 
-// The .fvecs / .bvecs / .ivecs formats used by SIFT1B, DEEP1B and SPACEV
-// distributions store, per vector, a little-endian int32 dimension header
-// followed by dim elements (float32, uint8 or int32 respectively).
+// The .fvecs / .ivecs formats of the TEXMEX corpora (SIFT1M and kin)
+// store, per vector, a little-endian int32 dimension header
+// followed by dim elements (float32 or int32 respectively).
 
 // WriteFvecs writes m in fvecs format.
 func WriteFvecs(w io.Writer, m *vecmath.Matrix) error {
@@ -67,63 +67,6 @@ func ReadFvecs(r io.Reader, maxRows int) (*vecmath.Matrix, error) {
 	return rowsToMatrix(rows, dim)
 }
 
-// WriteBvecs writes byte vectors (each row clamped to [0,255]).
-func WriteBvecs(w io.Writer, m *vecmath.Matrix) error {
-	bw := bufio.NewWriter(w)
-	var hdr [4]byte
-	buf := make([]byte, m.Dim)
-	for i := 0; i < m.Rows; i++ {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(m.Dim))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		for d, v := range m.Row(i) {
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			buf[d] = uint8(v)
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBvecs reads a bvecs stream into float32 rows.
-func ReadBvecs(r io.Reader, maxRows int) (*vecmath.Matrix, error) {
-	br := bufio.NewReader(r)
-	var rows [][]float32
-	dim := -1
-	for maxRows == 0 || len(rows) < maxRows {
-		d, err := readDim(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if dim == -1 {
-			dim = d
-		} else if d != dim {
-			return nil, fmt.Errorf("dataset: inconsistent bvecs dim %d vs %d", d, dim)
-		}
-		buf := make([]byte, d)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("dataset: truncated bvecs vector: %w", err)
-		}
-		row := make([]float32, d)
-		for i, b := range buf {
-			row[i] = float32(b)
-		}
-		rows = append(rows, row)
-	}
-	return rowsToMatrix(rows, dim)
-}
-
 // WriteIvecs writes integer id lists (e.g. ground truth neighbor ids).
 func WriteIvecs(w io.Writer, lists [][]int32) error {
 	bw := bufio.NewWriter(w)
@@ -142,31 +85,6 @@ func WriteIvecs(w io.Writer, lists [][]int32) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadIvecs reads an ivecs stream (0 = unlimited rows).
-func ReadIvecs(r io.Reader, maxRows int) ([][]int32, error) {
-	br := bufio.NewReader(r)
-	var lists [][]int32
-	for maxRows == 0 || len(lists) < maxRows {
-		d, err := readDim(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, 4*d)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("dataset: truncated ivecs list: %w", err)
-		}
-		list := make([]int32, d)
-		for i := range list {
-			list[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		lists = append(lists, list)
-	}
-	return lists, nil
 }
 
 func readDim(br *bufio.Reader) (int, error) {

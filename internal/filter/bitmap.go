@@ -153,47 +153,11 @@ func (b *Bitmap) And(o *Bitmap) *Bitmap {
 	return out
 }
 
-// Or returns the union of b and o as a new bitmap.
-func (b *Bitmap) Or(o *Bitmap) *Bitmap {
-	out := NewBitmap()
-	i, j := 0, 0
-	appendCopy := func(key int64, src *container) {
-		cp := *src
-		out.keys = append(out.keys, key)
-		out.cs = append(out.cs, &cp)
-		out.n += cp.card
-	}
-	for i < len(b.keys) || j < len(o.keys) {
-		switch {
-		case j >= len(o.keys) || (i < len(b.keys) && b.keys[i] < o.keys[j]):
-			appendCopy(b.keys[i], b.cs[i])
-			i++
-		case i >= len(b.keys) || o.keys[j] < b.keys[i]:
-			appendCopy(o.keys[j], o.cs[j])
-			j++
-		default:
-			var c container
-			for w := 0; w < containerWords; w++ {
-				v := b.cs[i].words[w] | o.cs[j].words[w]
-				c.words[w] = v
-				c.card += bits.OnesCount64(v)
-			}
-			cc := c
-			out.keys = append(out.keys, b.keys[i])
-			out.cs = append(out.cs, &cc)
-			out.n += c.card
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // OrWith adds every bit of o to b in place. Predicate evaluation
-// accumulates posting-list unions with it — rebuilding the growing
-// union via Or would deep-copy the accumulator once per operand (O(V²)
-// container copies for a V-value IN list); OrWith touches each operand
-// container once.
+// accumulates posting-list unions with it: each operand container is
+// touched once, where rebuilding the growing union as a new bitmap per
+// operand would deep-copy the accumulator every time (O(V²) container
+// copies for a V-value IN list).
 func (b *Bitmap) OrWith(o *Bitmap) {
 	for j, key := range o.keys {
 		i, ok := b.find(key)
@@ -216,23 +180,5 @@ func (b *Bitmap) OrWith(o *Bitmap) {
 		}
 		b.n += card - c.card
 		c.card = card
-	}
-}
-
-// ForEach calls fn on every set ID in ascending order until fn returns
-// false.
-func (b *Bitmap) ForEach(fn func(id int64) bool) {
-	for i, key := range b.keys {
-		base := key << 12
-		for w := 0; w < containerWords; w++ {
-			word := b.cs[i].words[w]
-			for word != 0 {
-				t := bits.TrailingZeros64(word)
-				if !fn(base + int64(w<<6) + int64(t)) {
-					return
-				}
-				word &= word - 1
-			}
-		}
 	}
 }

@@ -1,10 +1,31 @@
 package filter
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/xrand"
 )
+
+// bitmapIDs returns b's ids in container and word order.
+func bitmapIDs(b *Bitmap) []int64 {
+	var out []int64
+	for i, key := range b.keys {
+		for w := 0; w < containerWords; w++ {
+			for word := b.cs[i].words[w]; word != 0; word &= word - 1 {
+				out = append(out, key<<12+int64(w<<6)+int64(bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return out
+}
+
+// union returns a new bitmap holding the ids of a and b.
+func union(a, b *Bitmap) *Bitmap {
+	out := a.Clone()
+	out.OrWith(b)
+	return out
+}
 
 func TestBitmapAddRemoveContains(t *testing.T) {
 	b := NewBitmap()
@@ -54,7 +75,7 @@ func TestBitmapAndOrAgainstReference(t *testing.T) {
 			rb[id] = true
 		}
 	}
-	and, or := a.And(b), a.Or(b)
+	and, or := a.And(b), union(a, b)
 	wantAnd, wantOr := 0, len(ra)
 	for id := range rb {
 		if ra[id] {
@@ -69,37 +90,31 @@ func TestBitmapAndOrAgainstReference(t *testing.T) {
 	if or.Cardinality() != wantOr {
 		t.Fatalf("Or cardinality %d, want %d", or.Cardinality(), wantOr)
 	}
-	and.ForEach(func(id int64) bool {
+	for _, id := range bitmapIDs(and) {
 		if !ra[id] || !rb[id] {
 			t.Fatalf("And yielded %d not in both references", id)
 		}
-		return true
-	})
-	or.ForEach(func(id int64) bool {
+	}
+	for _, id := range bitmapIDs(or) {
 		if !ra[id] && !rb[id] {
 			t.Fatalf("Or yielded %d in neither reference", id)
 		}
-		return true
-	})
+	}
 }
 
-func TestBitmapForEachOrderedAndClone(t *testing.T) {
+func TestBitmapAscendingAndClone(t *testing.T) {
 	b := NewBitmap()
 	want := []int64{-9000, -1, 0, 5, 4100, 1 << 30}
 	for _, id := range want {
 		b.Add(id)
 	}
-	var got []int64
-	b.ForEach(func(id int64) bool {
-		got = append(got, id)
-		return true
-	})
+	got := bitmapIDs(b)
 	if len(got) != len(want) {
-		t.Fatalf("ForEach yielded %d ids, want %d", len(got), len(want))
+		t.Fatalf("bitmap holds %d ids, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ForEach[%d] = %d, want %d (ascending order)", i, got[i], want[i])
+			t.Fatalf("id %d = %d, want %d (containers in ascending key order)", i, got[i], want[i])
 		}
 	}
 	cl := b.Clone()
@@ -110,7 +125,7 @@ func TestBitmapForEachOrderedAndClone(t *testing.T) {
 }
 
 // FuzzBitmapOps drives an operation stream over a bitmap and a reference
-// map, then cross-checks Contains, Cardinality, And, and Or.
+// map, then cross-checks Contains, Cardinality, And, and OrWith.
 func FuzzBitmapOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{255, 0, 255, 0, 16, 16, 16})
@@ -143,19 +158,17 @@ func FuzzBitmapOps(f *testing.F) {
 					t.Fatalf("bitmap %d missing %d", w, id)
 				}
 			}
-			n := 0
-			bms[w].ForEach(func(id int64) bool {
+			ids := bitmapIDs(bms[w])
+			for _, id := range ids {
 				if !refs[w][id] {
-					t.Fatalf("bitmap %d yielded %d not in reference", w, id)
+					t.Fatalf("bitmap %d holds %d not in reference", w, id)
 				}
-				n++
-				return true
-			})
-			if n != len(refs[w]) {
-				t.Fatalf("bitmap %d ForEach yielded %d ids, want %d", w, n, len(refs[w]))
+			}
+			if len(ids) != len(refs[w]) {
+				t.Fatalf("bitmap %d holds %d ids, want %d", w, len(ids), len(refs[w]))
 			}
 		}
-		and, or := bms[0].And(bms[1]), bms[0].Or(bms[1])
+		and := bms[0].And(bms[1])
 		wantAnd, wantOr := 0, len(refs[0])
 		for id := range refs[1] {
 			if refs[0][id] {
@@ -167,44 +180,47 @@ func FuzzBitmapOps(f *testing.F) {
 		if and.Cardinality() != wantAnd {
 			t.Fatalf("And cardinality %d, want %d", and.Cardinality(), wantAnd)
 		}
-		if or.Cardinality() != wantOr {
-			t.Fatalf("Or cardinality %d, want %d", or.Cardinality(), wantOr)
-		}
 		inPlace := bms[0].Clone()
 		inPlace.OrWith(bms[1])
 		if inPlace.Cardinality() != wantOr {
 			t.Fatalf("OrWith cardinality %d, want %d", inPlace.Cardinality(), wantOr)
 		}
-		or.ForEach(func(id int64) bool {
-			if !inPlace.Contains(id) {
-				t.Fatalf("OrWith missing %d", id)
+		for w := 0; w < 2; w++ {
+			for id := range refs[w] {
+				if !inPlace.Contains(id) {
+					t.Fatalf("OrWith missing %d", id)
+				}
 			}
-			return true
-		})
+		}
 	})
 }
 
 func TestBitmapOrWithMatchesOr(t *testing.T) {
 	rng := xrand.New(11)
-	acc, want := NewBitmap(), NewBitmap()
+	acc, want := NewBitmap(), map[int64]bool{}
 	for round := 0; round < 20; round++ {
 		op := NewBitmap()
 		for i := 0; i < 300; i++ {
 			id := int64(rng.Intn(4)*50000 + rng.Intn(5000))
 			op.Add(id)
 		}
+		before := op.Cardinality()
 		acc.OrWith(op)
-		want = want.Or(op)
-		// The operand must be untouched and the accumulator must match
-		// the copying union exactly.
-		if acc.Cardinality() != want.Cardinality() {
-			t.Fatalf("round %d: OrWith cardinality %d, Or %d", round, acc.Cardinality(), want.Cardinality())
+		for _, id := range bitmapIDs(op) {
+			want[id] = true
 		}
-		want.ForEach(func(id int64) bool {
+		// The operand must be untouched and the accumulator must hold
+		// exactly the union.
+		if op.Cardinality() != before {
+			t.Fatalf("round %d: OrWith changed its operand", round)
+		}
+		if acc.Cardinality() != len(want) {
+			t.Fatalf("round %d: OrWith cardinality %d, union %d", round, acc.Cardinality(), len(want))
+		}
+		for id := range want {
 			if !acc.Contains(id) {
 				t.Fatalf("round %d: OrWith missing %d", round, id)
 			}
-			return true
-		})
+		}
 	}
 }

@@ -33,20 +33,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode parses a mode name ("adaptive"/"auto", "pre", "post").
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "auto", "adaptive":
-		return ModeAuto, nil
-	case "pre":
-		return ModePre, nil
-	case "post":
-		return ModePost, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown filter mode %q (adaptive, pre, post)", ErrInvalid, s)
-	}
-}
-
 // PreThreshold is the selectivity below which the planner pre-filters:
 // when at most this fraction of the corpus qualifies, intersecting
 // posting bitmaps and scanning only matching codes beats scanning

@@ -134,13 +134,6 @@ func (s *Store) unindexLocked(id int64) {
 	}
 }
 
-// Get returns a copy of id's tags (nil if untagged).
-func (s *Store) Get(id int64) Attrs {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byID[id].Clone()
-}
-
 // Matches reports whether id's tags satisfy pred — the per-candidate
 // check of the post-filter path and the overlay scan.
 func (s *Store) Matches(pred Pred, id int64) bool {
@@ -236,19 +229,12 @@ func (s *Store) postingLocked(field string, v Value) *Bitmap {
 
 var emptyBitmap = NewBitmap()
 
-// Estimate returns pred's estimated selectivity in [0, 1] over the
-// tagged vectors, computed from posting-list cardinalities alone.
-// Compound predicates combine under an independence assumption (AND
-// multiplies, OR adds complements) — cheap and directionally right even
-// when fields correlate. Search planning must use EstimateTotal instead:
-// on a partially-tagged corpus the scan runs over every vector, tagged
-// or not, so the fraction that matters is matches over the *corpus*.
-func (s *Store) Estimate(pred Pred) float64 {
-	return s.EstimateTotal(pred, 0)
-}
-
-// EstimateTotal is Estimate with the denominator floored at total — the
-// corpus size the filtered scan actually covers. Untagged vectors can
+// EstimateTotal returns pred's estimated selectivity in [0, 1], computed
+// from posting-list cardinalities alone, over a denominator floored at
+// total — the corpus size the filtered scan actually covers. Compound
+// predicates combine under an independence assumption (AND multiplies,
+// OR adds complements) — cheap and directionally right even when fields
+// correlate. Untagged vectors can
 // never match, so on a corpus where only a slice is tagged the true
 // selectivity is matches/corpus, not matches/tagged; estimating over
 // tagged vectors alone would read a fully-tagged 500-vector slice of a

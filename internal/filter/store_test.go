@@ -25,10 +25,9 @@ func storeWith(t *testing.T, n int) *Store {
 
 func evalIDs(bm *Bitmap) map[int64]bool {
 	out := map[int64]bool{}
-	bm.ForEach(func(id int64) bool {
+	for _, id := range bitmapIDs(bm) {
 		out[id] = true
-		return true
-	})
+	}
 	return out
 }
 
@@ -98,8 +97,8 @@ func TestStoreEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Estimate(p); math.Abs(got-c.want) > c.tol {
-			t.Errorf("Estimate(%q) = %.4f, want %.4f +/- %.3f", c.in, got, c.want, c.tol)
+		if got := s.EstimateTotal(p, 0); math.Abs(got-c.want) > c.tol {
+			t.Errorf("EstimateTotal(%q, 0) = %.4f, want %.4f +/- %.3f", c.in, got, c.want, c.tol)
 		}
 	}
 }
@@ -219,8 +218,8 @@ func TestEstimateTotalPartiallyTaggedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Estimate(p); got != 1.0 {
-		t.Fatalf("Estimate over tagged = %.4f, want 1.0", got)
+	if got := s.EstimateTotal(p, 0); got != 1.0 {
+		t.Fatalf("EstimateTotal over tagged = %.4f, want 1.0", got)
 	}
 	got := s.EstimateTotal(p, 50000)
 	if math.Abs(got-0.01) > 1e-9 {

@@ -33,18 +33,6 @@ func (c *Coarse) Assign(vec []float32) int32 {
 	return int32(id)
 }
 
-// AssignBatch assigns every row of data, reusing dst if large enough.
-func (c *Coarse) AssignBatch(dst []int32, data *vecmath.Matrix) []int32 {
-	if len(dst) < data.Rows {
-		dst = make([]int32, data.Rows)
-	}
-	dst = dst[:data.Rows]
-	for i := 0; i < data.Rows; i++ {
-		dst[i] = c.Assign(data.Row(i))
-	}
-	return dst
-}
-
 // ProbeInto returns the nprobe nearest cluster ids for query, closest
 // first, in caller-provided backing for the ids and the centroid-distance
 // scratch (either may be nil; each is grown only when capacity falls

@@ -71,25 +71,11 @@ func TestResidual(t *testing.T) {
 	v := data.Row(7)
 	cl := c.Assign(v)
 	res := c.Residual(nil, v, cl)
-	back := vecmath.Add(nil, res, c.Centroids.Row(int(cl)))
+	centroid := c.Centroids.Row(int(cl))
 	for i := range v {
-		diff := back[i] - v[i]
-		if diff > 1e-5 || diff < -1e-5 {
-			t.Fatalf("residual round trip failed at %d: %v vs %v", i, back[i], v[i])
-		}
-	}
-}
-
-func TestAssignBatch(t *testing.T) {
-	data := testData(5, 300, 6)
-	c := Train(data, 8, 5)
-	batch := c.AssignBatch(nil, data)
-	if len(batch) != 300 {
-		t.Fatalf("batch len %d", len(batch))
-	}
-	for i := 0; i < 300; i += 37 {
-		if batch[i] != c.Assign(data.Row(i)) {
-			t.Fatalf("batch[%d] mismatch", i)
+		back := res[i] + centroid[i]
+		if diff := back - v[i]; diff > 1e-5 || diff < -1e-5 {
+			t.Fatalf("residual round trip failed at %d: %v vs %v", i, back, v[i])
 		}
 	}
 }

@@ -111,8 +111,7 @@ const (
 
 // WriteImage serializes ix's cluster payloads as a tier image. The
 // quantizers are not included: OpenImage callers pair the image with the
-// index (or a stripped clone of it) they wrote it from, and Image.Matches
-// checks the shapes agree.
+// index (or a stripped clone of it) they wrote it from.
 func (ix *Index) WriteImage(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -252,32 +251,6 @@ func (im *Image) NTotal() int64 { return im.ntotal }
 
 // ClusterLen returns cluster c's vector count.
 func (im *Image) ClusterLen(c int32) int { return im.counts[c] }
-
-// ClusterExtent returns cluster c's byte range [off, off+n) in the image
-// — the ids block followed by the codes block. Fault-injection harnesses
-// use it to target one cluster's reads.
-func (im *Image) ClusterExtent(c int32) (off, n int64) {
-	return im.offs[c], im.offs[c+1] - im.offs[c]
-}
-
-// Matches reports whether the image's shape and quantization scale agree
-// with ix's — the pairing check before serving ix's quantizers over this
-// image's payload.
-func (im *Image) Matches(ix *Index) error {
-	switch {
-	case im.dim != ix.Dim:
-		return fmt.Errorf("ivfpq: image dim %d != index dim %d", im.dim, ix.Dim)
-	case len(im.counts) != ix.NList():
-		return fmt.Errorf("ivfpq: image has %d clusters, index %d", len(im.counts), ix.NList())
-	case im.m != ix.PQ.M:
-		return fmt.Errorf("ivfpq: image M %d != index M %d", im.m, ix.PQ.M)
-	case im.ksub != ix.PQ.KSub:
-		return fmt.Errorf("ivfpq: image KSub %d != index KSub %d", im.ksub, ix.PQ.KSub)
-	case im.QScale != ix.QScale:
-		return fmt.Errorf("ivfpq: image QScale %v != index QScale %v", im.QScale, ix.QScale)
-	}
-	return nil
-}
 
 // checkRange validates a [base, base+n) window of cluster c.
 func (im *Image) checkRange(c int32, base, n int) error {

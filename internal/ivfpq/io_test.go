@@ -109,9 +109,9 @@ func TestFoldedIndexRoundTrip(t *testing.T) {
 		}
 	}
 	inserts := testData(78, 100, 32)
-	code := make([]uint8, m)
+	code, resid := make([]uint8, m), make([]float32, folded.Dim)
 	for i := 0; i < inserts.Rows; i++ {
-		cl := folded.EncodeVector(code, inserts.Row(i))
+		cl := folded.EncodeVectorInto(code, resid, inserts.Row(i))
 		folded.AppendEncoded(cl, int64(1_000_000+i), code)
 	}
 	wantTotal := int64(0)
@@ -184,8 +184,8 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Fatalf("image shape %d/%d/%d, index %d/%d/%d",
 			im.NList(), im.NTotal(), im.M(), ix.NList(), ix.NTotal, ix.PQ.M)
 	}
-	if err := im.Matches(ix); err != nil {
-		t.Fatal(err)
+	if im.ksub != ix.PQ.KSub || im.QScale != ix.QScale {
+		t.Fatalf("image KSub/QScale %d/%v, index %d/%v", im.ksub, im.QScale, ix.PQ.KSub, ix.QScale)
 	}
 	m := ix.PQ.M
 	var scratch []byte
@@ -260,15 +260,6 @@ func TestOpenImageRejectsGarbage(t *testing.T) {
 		if _, err := OpenImage(bytes.NewReader(b), int64(len(b))); err == nil {
 			t.Errorf("%s: no error", name)
 		}
-	}
-}
-
-func TestImageMatchesRejectsShapeSkew(t *testing.T) {
-	ix, _ := buildIndex(t, 45, 800, 16, 8, 4)
-	_, im := writeImage(t, ix)
-	other, _ := buildIndex(t, 45, 800, 16, 8, 8) // different M
-	if err := im.Matches(other); err == nil {
-		t.Fatal("no error pairing image with a different-shape index")
 	}
 }
 

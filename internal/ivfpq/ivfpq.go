@@ -210,21 +210,15 @@ func (ix *Index) AddWithIDs(data *vecmath.Matrix, ids []int64) {
 	}
 }
 
-// EncodeVector assigns vec to its nearest cluster and PQ-encodes the
-// residual into code (M bytes). It does not modify the index; the
-// streaming-update path (internal/mutable) uses it to encode single
-// inserts with the trained quantizers before staging them in append logs.
-// Batched callers should use EncodeVectorInto with a reused residual
-// scratch to avoid a per-vector allocation.
-func (ix *Index) EncodeVector(code []uint8, vec []float32) int32 {
-	return ix.EncodeVectorInto(code, make([]float32, ix.Dim), vec)
-}
-
-// EncodeVectorInto is EncodeVector with a caller-provided residual
-// scratch (len Dim), for hot paths that encode many vectors.
+// EncodeVectorInto assigns vec to its nearest cluster, PQ-encodes the
+// residual into code (M bytes) and returns the cluster. resid is
+// caller-provided scratch (len Dim), reused across the vectors of a
+// batch. It does not modify the index; the streaming-update path
+// (internal/mutable) uses it to encode upserts with the trained
+// quantizers before staging them in append logs.
 func (ix *Index) EncodeVectorInto(code []uint8, resid, vec []float32) int32 {
 	if len(vec) != ix.Dim {
-		panic("ivfpq: EncodeVector dimension mismatch")
+		panic("ivfpq: EncodeVectorInto dimension mismatch")
 	}
 	cl := ix.Coarse.Assign(vec)
 	ix.Coarse.Residual(resid, vec, cl)

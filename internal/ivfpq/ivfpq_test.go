@@ -26,13 +26,11 @@ func buildIndex(t testing.TB, seed uint64, rows, dim, nlist, m int) (*Index, *ve
 }
 
 func bruteForce(data *vecmath.Matrix, q []float32, k int) []topk.Candidate {
-	ids := make([]int64, data.Rows)
-	ds := make([]float32, data.Rows)
+	h := topk.NewHeap(k)
 	for i := 0; i < data.Rows; i++ {
-		ids[i] = int64(i)
-		ds[i] = vecmath.L2Squared(q, data.Row(i))
+		h.Push(int64(i), vecmath.L2Squared(q, data.Row(i)))
 	}
-	return topk.SelectK(k, ids, ds)
+	return h.Sorted()
 }
 
 func recallAtK(got, truth []topk.Candidate) float64 {

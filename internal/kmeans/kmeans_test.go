@@ -7,11 +7,14 @@ import (
 	"repro/internal/xrand"
 )
 
+// uniform32 returns a uniform float32 in [0, 1).
+func uniform32(r *xrand.RNG) float32 { return float32(r.Uint64()>>40) / (1 << 24) }
+
 // blobs generates n points around k well-separated centers.
 func blobs(r *xrand.RNG, n, k, dim int, spread float32) (*vecmath.Matrix, []int32) {
 	centers := vecmath.NewMatrix(k, dim)
 	for i := range centers.Data {
-		centers.Data[i] = r.Float32()*100 - 50
+		centers.Data[i] = uniform32(r)*100 - 50
 	}
 	data := vecmath.NewMatrix(n, dim)
 	truth := make([]int32, n)

@@ -98,16 +98,6 @@ func (h *Histogram) Count() uint64 {
 	return h.n
 }
 
-// Mean returns the exact mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) as the geometric
 // midpoint of the bucket holding the q-th ranked observation, clamped to
 // the exact observed min/max so tails never overshoot. It returns 0 when
@@ -149,42 +139,6 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Merge folds other's observations into h. Both histograms must share
-// bucket geometry (constructed with the same lo/hi/growth); Merge panics
-// otherwise, since adding counts bucket-wise across different geometries
-// would silently corrupt quantiles. The cluster stats path uses it to
-// combine per-shard latency populations into one distribution.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other == h {
-		return
-	}
-	// Snapshot other before taking h's lock: a fixed lock order per call
-	// (other then h) plus never holding both means concurrent
-	// a.Merge(b) / b.Merge(a) cannot deadlock.
-	other.mu.Lock()
-	counts := append([]uint64(nil), other.counts...)
-	n, sum, mn, mx := other.n, other.sum, other.min, other.max
-	lo, growth := other.lo, other.growth
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if lo != h.lo || growth != h.growth || len(counts) != len(h.counts) {
-		panic("metrics: Merge needs identical histogram geometry")
-	}
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	h.n += n
-	h.sum += sum
-	if mn < h.min {
-		h.min = mn
-	}
-	if mx > h.max {
-		h.max = mx
-	}
 }
 
 // Snapshot is a consistent point-in-time summary of a histogram. All

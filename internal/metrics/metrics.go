@@ -109,19 +109,6 @@ func Seconds(v float64) string {
 	}
 }
 
-// Normalize divides every value by base (the paper's normalization), or
-// returns zeros for a non-positive base.
-func Normalize(vals []float64, base float64) []float64 {
-	out := make([]float64, len(vals))
-	if base <= 0 {
-		return out
-	}
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
-}
-
 // LinReg fits y = slope*x + intercept by least squares and returns the
 // coefficient of determination r2. It panics on mismatched or empty input.
 func LinReg(x, y []float64) (slope, intercept, r2 float64) {

@@ -57,16 +57,6 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8}, 2)
-	if out[0] != 1 || out[1] != 2 || out[2] != 4 {
-		t.Fatalf("Normalize = %v", out)
-	}
-	if z := Normalize([]float64{1}, 0); z[0] != 0 {
-		t.Fatal("zero base should zero out")
-	}
-}
-
 func TestLinRegPerfectLine(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{3, 5, 7, 9, 11} // y = 2x + 1

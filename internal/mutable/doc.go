@@ -1,5 +1,5 @@
 // Package mutable makes the UpANNS deployment updatable under live
-// traffic: an UpdatableIndex accepts online Insert and Delete while
+// traffic: an UpdatableIndex accepts online Upsert and Remove while
 // readers keep searching, without rebuild downtime.
 //
 // The paper evaluates a static, offline-built index; real corpora churn.

@@ -77,21 +77,6 @@ func (u *UpdatableIndex) UpsertWithAttrs(ids []int64, vecs *vecmath.Matrix, attr
 	return u.upsert(ids, vecs)
 }
 
-// InsertWithAttrs is Insert with attribute tags (same semantics as
-// UpsertWithAttrs for one vector).
-func (u *UpdatableIndex) InsertWithAttrs(id int64, vec []float32, attrs filter.Attrs) error {
-	if u.attrs == nil {
-		if len(attrs) > 0 {
-			return ErrNoSchema
-		}
-		return u.insert(id, vec)
-	}
-	if err := u.attrs.Set(id, attrs); err != nil {
-		return err
-	}
-	return u.insert(id, vec)
-}
-
 // FilterStats snapshots the filtered-search planning counters (nil when
 // the deployment has no schema).
 func (u *UpdatableIndex) FilterStats() *filter.StatsSnapshot {

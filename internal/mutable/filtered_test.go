@@ -13,6 +13,11 @@ import (
 	"repro/internal/xrand"
 )
 
+// upsertOneWithAttrs stages vec under id with attrs.
+func upsertOneWithAttrs(u *mutable.UpdatableIndex, id int64, vec []float32, attrs filter.Attrs) error {
+	return u.UpsertWithAttrs([]int64{id}, vecmath.WrapMatrix(vec, 1, len(vec)), []filter.Attrs{attrs})
+}
+
 func filteredSchema(t *testing.T) *filter.Schema {
 	t.Helper()
 	s, err := filter.NewSchema(
@@ -127,7 +132,7 @@ func TestSearchFilteredSeesOverlayWrites(t *testing.T) {
 	// Insert a vector equal to the query under a fresh tenant: it must be
 	// the top filtered hit immediately, straight from the overlay.
 	newID := int64(1 << 20)
-	if err := u.InsertWithAttrs(newID, data.Row(0), filter.Attrs{
+	if err := upsertOneWithAttrs(u, newID, data.Row(0), filter.Attrs{
 		"tenant": filter.IntValue(99),
 		"lang":   filter.StrValue("en"),
 	}); err != nil {
@@ -142,7 +147,7 @@ func TestSearchFilteredSeesOverlayWrites(t *testing.T) {
 	}
 
 	// Delete kills the tags along with the vector.
-	u.Delete(newID)
+	u.Remove([]int64{newID})
 	res, err = u.Search(qs, mutable.SearchOpts{K: 10, Pred: pred})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +155,7 @@ func TestSearchFilteredSeesOverlayWrites(t *testing.T) {
 	if len(res[0]) != 0 {
 		t.Fatalf("deleted id still surfaces through the filter: %+v", res[0])
 	}
-	if u.AttrStore().Get(newID) != nil {
+	if u.AttrStore().Matches(pred, newID) {
 		t.Fatal("tags survive a delete")
 	}
 }
@@ -169,14 +174,14 @@ func TestFilteredAttrsSurviveCompaction(t *testing.T) {
 	fresh := gaussMatrix(200, testDim, 77)
 	for i := 0; i < 200; i++ {
 		id := int64(10_000 + i)
-		if err := u.InsertWithAttrs(id, fresh.Row(i), attrsOf(id)); err != nil {
+		if err := upsertOneWithAttrs(u, id, fresh.Row(i), attrsOf(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if ran, err := u.Compact(true); err != nil || !ran {
 		t.Fatalf("forced compaction: ran=%v err=%v", ran, err)
 	}
-	if u.Epoch() == 0 {
+	if u.Stats().Epoch == 0 {
 		t.Fatal("compaction did not publish a new epoch")
 	}
 
@@ -276,7 +281,7 @@ func TestFilteredErrors(t *testing.T) {
 	if _, err := bare.Search(qs, mutable.SearchOpts{K: 10, Pred: parsePred(t, `tenant = 1`)}); !errors.Is(err, filter.ErrInvalid) {
 		t.Fatalf("schemaless filtered search error %v does not wrap filter.ErrInvalid", err)
 	}
-	if err := bare.InsertWithAttrs(1, plain.Row(0), filter.Attrs{"tenant": filter.IntValue(1)}); !errors.Is(err, mutable.ErrNoSchema) {
+	if err := upsertOneWithAttrs(bare, 1, plain.Row(0), filter.Attrs{"tenant": filter.IntValue(1)}); !errors.Is(err, mutable.ErrNoSchema) {
 		t.Fatalf("schemaless tagged insert error %v, want ErrNoSchema", err)
 	}
 }
@@ -368,7 +373,7 @@ func TestPendingWritesShareClusterLUT(t *testing.T) {
 	// Pending writes around the query land in the clusters it probes.
 	near := queriesFrom(q, 40, 3)
 	for i := 0; i < near.Rows; i++ {
-		if err := u.InsertWithAttrs(int64(n+i), near.Row(i), filter.Attrs{"tenant": filter.IntValue(9)}); err != nil {
+		if err := upsertOneWithAttrs(u, int64(n+i), near.Row(i), filter.Attrs{"tenant": filter.IntValue(9)}); err != nil {
 			t.Fatal(err)
 		}
 	}

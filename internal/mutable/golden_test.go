@@ -8,6 +8,7 @@ import (
 	"repro/internal/ivfpq"
 	"repro/internal/mutable"
 	"repro/internal/pim"
+	"repro/internal/pq"
 	"repro/internal/topk"
 )
 
@@ -82,15 +83,15 @@ func TestSearchMatchesEngine(t *testing.T) {
 	overlay := map[int64]entry{}
 	dead := map[int64]bool{}
 	stage := func(id int64, vec []float32) {
-		if err := u.Insert(id, vec); err != nil {
+		if err := upsertOne(u, id, vec); err != nil {
 			t.Fatal(err)
 		}
 		code := make([]uint8, ix.PQ.M)
-		overlay[id] = entry{ix.EncodeVector(code, vec), code}
+		overlay[id] = entry{ix.EncodeVectorInto(code, make([]float32, ix.Dim), vec), code}
 		delete(dead, id)
 	}
 	remove := func(id int64) {
-		u.Delete(id)
+		u.Remove([]int64{id})
 		delete(overlay, id)
 		dead[id] = true
 	}
@@ -125,9 +126,11 @@ func TestSearchMatchesEngine(t *testing.T) {
 			}
 		}
 		probes, _ := ix.Coarse.ProbeInto(nil, nil, queries.Row(qi), cfg.Engine.NProbe)
+		lut := make(pq.LUT, ix.PQ.M*pq.CodebookSize)
 		for _, cl := range probes {
 			ix.Coarse.Residual(resid, queries.Row(qi), cl)
-			ql := ix.PQ.QuantizeWithScale(ix.PQ.BuildLUT(resid), ix.QScale)
+			ix.PQ.BuildLUTInto(lut, resid)
+			ql := ix.PQ.QuantizeWithScale(lut, ix.QScale)
 			for id, e := range overlay {
 				if e.cluster == cl {
 					want = append(want, topk.Candidate{ID: id, Dist: ql.ToFloat(ql.QDistance(e.code))})

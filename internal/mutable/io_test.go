@@ -17,15 +17,15 @@ func TestRoundTripWithPendingOverlay(t *testing.T) {
 
 	inserts := gaussMatrix(150, testDim, 210)
 	for i := 0; i < inserts.Rows; i++ {
-		if err := u.Insert(int64(40_000+i), inserts.Row(i)); err != nil {
+		if err := upsertOne(u, int64(40_000+i), inserts.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id := int64(0); id < 60; id++ {
-		u.Delete(id)
+		u.Remove([]int64{id})
 	}
 	// An upsert chain so sequence ordering matters in the stream.
-	if err := u.Insert(40_000, gaussMatrix(1, testDim, 211).Row(0)); err != nil {
+	if err := upsertOne(u, 40_000, gaussMatrix(1, testDim, 211).Row(0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestRoundTripWithPendingOverlay(t *testing.T) {
 	}
 
 	// The restored overlay must keep working: writes and compaction.
-	restored.Delete(40_001)
+	restored.Remove([]int64{40_001})
 	if hasID(searchOne(t, restored, inserts.Row(1)), 40_001) {
 		t.Fatal("delete after restore not applied")
 	}

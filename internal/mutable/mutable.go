@@ -136,7 +136,7 @@ type entryRef struct {
 }
 
 // UpdatableIndex is a streaming-updatable UpANNS deployment: online
-// Insert/Delete into a write overlay, reads against the current epoch
+// Upsert/Remove into a write overlay, reads against the current epoch
 // snapshot merged with the overlay, and epoch compaction that folds the
 // overlay into a fresh immutable base. Safe for concurrent use.
 type UpdatableIndex struct {
@@ -281,40 +281,6 @@ func (u *UpdatableIndex) Close() {
 // Dim returns the index dimensionality (serve.Backend).
 func (u *UpdatableIndex) Dim() int { return u.dim }
 
-// Epoch returns the current epoch number.
-func (u *UpdatableIndex) Epoch() uint64 { return u.snap.Load().epoch }
-
-// Insert stages one vector in the write overlay under id. It is an
-// upsert: a later Insert of the same id shadows every earlier version
-// (overlay or base) by sequence number. The vector is PQ-encoded here
-// with the trained quantizers; quantizers are shared by every epoch and
-// never retrained online. With a schema deployed, Insert clears any
-// previous tags of id (replacement semantics — use InsertWithAttrs to
-// tag the new version).
-func (u *UpdatableIndex) Insert(id int64, vec []float32) error {
-	if u.attrs != nil {
-		u.attrs.Remove(id)
-	}
-	return u.insert(id, vec)
-}
-
-// insert stages the vector without touching attribute state.
-func (u *UpdatableIndex) insert(id int64, vec []float32) error {
-	if len(vec) != u.dim {
-		return fmt.Errorf("mutable: insert has %d dims, index has %d", len(vec), u.dim)
-	}
-	ix := u.snap.Load().ix
-	m := ix.PQ.M
-	code := make([]uint8, m)
-	cl := ix.EncodeVector(code, vec)
-
-	u.mu.Lock()
-	u.stage(cl, id, code)
-	u.mu.Unlock()
-	u.inserts.Add(1)
-	return nil
-}
-
 // touch allots the next write sequence number to a write of id, noting
 // it in shadow if it is the id's first since the fold; caller holds mu.
 func (u *UpdatableIndex) touch(id int64) uint64 {
@@ -375,23 +341,12 @@ func (u *UpdatableIndex) upsert(ids []int64, vecs *vecmath.Matrix) error {
 	return nil
 }
 
-// Delete tombstones id: the id disappears from every subsequent Search
-// and is physically removed at the next compaction. Deleting an unknown
-// id is a no-op that still costs a tombstone until compaction. The id's
-// attribute tags die with it (after the tombstone lands, so a racing
-// filtered search can match a stale tag but never resurface the vector).
-func (u *UpdatableIndex) Delete(id int64) {
-	u.mu.Lock()
-	u.tombs[id] = u.touch(id)
-	u.mu.Unlock()
-	if u.attrs != nil {
-		u.attrs.Remove(id)
-	}
-	u.deletes.Add(1)
-}
-
-// Remove tombstones every id, in order. It satisfies serve.WriteBackend.
-// Attribute tags die with the ids.
+// Remove tombstones every id, in order: each id disappears from every
+// subsequent Search and is physically removed at the next compaction.
+// Removing an unknown id is a no-op that still costs a tombstone until
+// compaction. It satisfies serve.WriteBackend. Attribute tags die with
+// the ids, after the tombstones land, so a racing filtered search can
+// match a stale tag but never resurface the vector.
 func (u *UpdatableIndex) Remove(ids []int64) error {
 	u.mu.Lock()
 	for _, id := range ids {

@@ -27,6 +27,11 @@ func gaussMatrix(n, dim int, seed uint64) *vecmath.Matrix {
 	return m
 }
 
+// upsertOne stages vec under id.
+func upsertOne(u *mutable.UpdatableIndex, id int64, vec []float32) error {
+	return u.Upsert([]int64{id}, vecmath.WrapMatrix(vec, 1, len(vec)))
+}
+
 func testConfig(interval time.Duration) mutable.Config {
 	cfg := mutable.DefaultConfig()
 	cfg.Engine.NProbe = 4
@@ -79,7 +84,7 @@ func TestInsertVisibleImmediately(t *testing.T) {
 	if hasID(searchOne(t, u, v), id) {
 		t.Fatal("id visible before insert")
 	}
-	if err := u.Insert(id, v); err != nil {
+	if err := upsertOne(u, id, v); err != nil {
 		t.Fatal(err)
 	}
 	if !hasID(searchOne(t, u, v), id) {
@@ -99,7 +104,7 @@ func TestDeleteHidesBaseVector(t *testing.T) {
 	if !hasID(searchOne(t, u, v), victim) {
 		t.Fatal("base vector not found by its own query")
 	}
-	u.Delete(victim)
+	u.Remove([]int64{victim})
 	if hasID(searchOne(t, u, v), victim) {
 		t.Fatal("deleted id still returned")
 	}
@@ -113,7 +118,7 @@ func TestUpsertShadowsOlderVersions(t *testing.T) {
 	// shadowed, the new version found, and the id returned at most once.
 	const id = int64(5)
 	newVec := gaussMatrix(1, testDim, 77).Row(0)
-	if err := u.Insert(id, newVec); err != nil {
+	if err := upsertOne(u, id, newVec); err != nil {
 		t.Fatal(err)
 	}
 	cands := searchOne(t, u, newVec)
@@ -128,12 +133,12 @@ func TestUpsertShadowsOlderVersions(t *testing.T) {
 	}
 
 	// Delete-then-reinsert: the delete must not hide the newer insert.
-	u.Delete(id)
+	u.Remove([]int64{id})
 	if hasID(searchOne(t, u, newVec), id) {
 		t.Fatal("deleted id still visible")
 	}
 	final := gaussMatrix(1, testDim, 78).Row(0)
-	if err := u.Insert(id, final); err != nil {
+	if err := upsertOne(u, id, final); err != nil {
 		t.Fatal(err)
 	}
 	if !hasID(searchOne(t, u, final), id) {
@@ -153,7 +158,7 @@ func TestCompactionPreservesResults(t *testing.T) {
 	// Engine.K above the serving k — see TestCompactionAppliesDeletes.)
 	inserts := gaussMatrix(400, testDim, 55)
 	for i := 0; i < inserts.Rows; i++ {
-		if err := u.Insert(int64(10_000+i), inserts.Row(i)); err != nil {
+		if err := upsertOne(u, int64(10_000+i), inserts.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,17 +214,17 @@ func TestCompactionAppliesDeletes(t *testing.T) {
 
 	inserts := gaussMatrix(400, testDim, 57)
 	for i := 0; i < inserts.Rows; i++ {
-		if err := u.Insert(int64(10_000+i), inserts.Row(i)); err != nil {
+		if err := upsertOne(u, int64(10_000+i), inserts.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id := int64(0); id < 200; id++ {
-		u.Delete(id)
+		u.Remove([]int64{id})
 	}
 	// Delete some freshly inserted entries too: log-resident deletes must
 	// also fold away.
 	for i := 0; i < 50; i++ {
-		u.Delete(int64(10_000 + i))
+		u.Remove([]int64{int64(10_000 + i)})
 	}
 
 	if _, err := u.Compact(true); err != nil {
@@ -264,7 +269,7 @@ func TestThresholdTriggersCompaction(t *testing.T) {
 	// Push past MaxLogRatio (0.15 * 2000 = 300).
 	inserts := gaussMatrix(320, testDim, 88)
 	for i := 0; i < inserts.Rows; i++ {
-		if err := u.Insert(int64(20_000+i), inserts.Row(i)); err != nil {
+		if err := upsertOne(u, int64(20_000+i), inserts.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +291,7 @@ func TestBackgroundCompactor(t *testing.T) {
 
 	inserts := gaussMatrix(320, testDim, 89)
 	for i := 0; i < inserts.Rows; i++ {
-		if err := u.Insert(int64(30_000+i), inserts.Row(i)); err != nil {
+		if err := upsertOne(u, int64(30_000+i), inserts.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +317,7 @@ func TestSearchValidation(t *testing.T) {
 	if _, err := u.Search(gaussMatrix(1, testDim, 1), mutable.SearchOpts{K: testK + 1}); err == nil {
 		t.Fatal("k above engine K accepted")
 	}
-	if err := u.Insert(1, make([]float32, testDim+2)); err == nil {
+	if err := upsertOne(u, 1, make([]float32, testDim+2)); err == nil {
 		t.Fatal("bad insert dimension accepted")
 	}
 }

@@ -20,6 +20,11 @@ import (
 // distances. Runs in-package so it can drive the two halves directly under
 // the lock discipline they document.
 
+// upsertOne stages vec under id.
+func upsertOne(u *UpdatableIndex, id int64, vec []float32) error {
+	return u.Upsert([]int64{id}, vecmath.WrapMatrix(vec, 1, len(vec)))
+}
+
 func overlayTestIndex(t *testing.T, rows, dim, nlist, m int) (*UpdatableIndex, *vecmath.Matrix) {
 	t.Helper()
 	r := xrand.New(31)
@@ -103,20 +108,20 @@ func checkScanOverlayGolden(t *testing.T, dim, m int) {
 		return vec
 	}
 	for id := int64(rows); id < rows+600; id++ {
-		if err := u.Insert(id, newVec()); err != nil {
+		if err := upsertOne(u, id, newVec()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id := int64(rows); id < rows+200; id++ { // shadow: second version wins
-		if err := u.Insert(id, newVec()); err != nil {
+		if err := upsertOne(u, id, newVec()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for id := int64(rows + 300); id < rows+380; id++ { // overlay deletes
-		u.Delete(id)
+		u.Remove([]int64{id})
 	}
 	for id := int64(0); id < 50; id++ { // base deletes (tombstones only)
-		u.Delete(id)
+		u.Remove([]int64{id})
 	}
 
 	queries := vecmath.NewMatrix(6, dim)
@@ -175,13 +180,13 @@ func TestCutIgnoresLaterWrites(t *testing.T) {
 	}
 	before, deleted, overwritten := base[0].ID, base[1].ID, base[2].ID
 
-	u.Delete(before)
+	u.Remove([]int64{before})
 	u.mu.RLock()
 	view := overlayView{seq: u.seq, shadow: u.shadow, cands: make([][]topk.Candidate, 1)}
 	u.mu.RUnlock()
 
-	u.Delete(deleted)
-	if err := u.Insert(overwritten, data.Row(int(overwritten))); err != nil {
+	u.Remove([]int64{deleted})
+	if err := upsertOne(u, overwritten, data.Row(int(overwritten))); err != nil {
 		t.Fatal(err)
 	}
 	check := func(when string) {

@@ -45,7 +45,7 @@ func TestOracleSeesOverlayAndTombstones(t *testing.T) {
 	}
 
 	const id = int64(777_000)
-	if err := u.Insert(id, q); err != nil {
+	if err := upsertOne(u, id, q); err != nil {
 		t.Fatal(err)
 	}
 	res, err = u.SearchOracle(q, testK, nil)
@@ -55,7 +55,7 @@ func TestOracleSeesOverlayAndTombstones(t *testing.T) {
 	if res.Truth[0].ID != id {
 		t.Fatalf("exact-match overlay insert is not the oracle's nearest: %+v", res.Truth[0])
 	}
-	u.Delete(id)
+	u.Remove([]int64{id})
 	res, err = u.SearchOracle(q, testK, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestClusterOccupancy(t *testing.T) {
 	}
 
 	for i := 0; i < 50; i++ {
-		if err := u.Insert(int64(10_000+i), gaussMatrix(1, testDim, uint64(100+i)).Row(0)); err != nil {
+		if err := upsertOne(u, int64(10_000+i), gaussMatrix(1, testDim, uint64(100+i)).Row(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestShadowExecutionUnderCompaction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				id := int64(500_000 + w*1000 + i)
-				if err := u.Insert(id, gaussMatrix(1, testDim, uint64(id)).Row(0)); err != nil {
+				if err := upsertOne(u, id, gaussMatrix(1, testDim, uint64(id)).Row(0)); err != nil {
 					t.Error(err)
 					return
 				}

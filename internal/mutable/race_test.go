@@ -64,7 +64,7 @@ func TestSearchDuringSwap(t *testing.T) {
 
 	sentinel := gaussMatrix(1, testDim, 400).Row(0)
 	const sentinelID = int64(900_000)
-	if err := u.Insert(sentinelID, sentinel); err != nil {
+	if err := upsertOne(u, sentinelID, sentinel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +99,7 @@ func TestSearchDuringSwap(t *testing.T) {
 			for j := range vec {
 				vec[j] = sentinel[j] + 1e-3*noise.Row(int(id) % noise.Rows)[j]
 			}
-			if err := u.Insert(id, vec); err != nil {
+			if err := upsertOne(u, id, vec); err != nil {
 				t.Error(err)
 				return
 			}
@@ -117,7 +117,7 @@ func TestSearchDuringSwap(t *testing.T) {
 					}
 				}
 				deleting.Store(victim)
-				u.Delete(victim)
+				u.Remove([]int64{victim})
 				deleted.Store(victim)
 			}
 		}
@@ -125,7 +125,7 @@ func TestSearchDuringSwap(t *testing.T) {
 
 	// Readers keep going until several swaps and deletes have overlapped
 	// them, so the race window is never left untested on a fast machine.
-	overlapped := func() bool { return u.Epoch() >= 3 && deleted.Load() >= firstID+2*live }
+	overlapped := func() bool { return u.Stats().Epoch >= 3 && deleted.Load() >= firstID+2*live }
 	deadline := time.Now().Add(10 * time.Second)
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -157,7 +157,7 @@ func TestSearchDuringSwap(t *testing.T) {
 				}
 				for id := dyingAfter + 1; id <= ackedBefore; id++ {
 					if !hasID(res[0], id) {
-						t.Errorf("reader %d: acknowledged write %d lost (epoch %d)", r, id, u.Epoch())
+						t.Errorf("reader %d: acknowledged write %d lost (epoch %d)", r, id, u.Stats().Epoch)
 						return
 					}
 				}
@@ -193,7 +193,7 @@ func TestInsertDuringCompaction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				row := w*perWriter + i
-				if err := u.Insert(int64(100_000+row), vecs.Row(row)); err != nil {
+				if err := upsertOne(u, int64(100_000+row), vecs.Row(row)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -237,7 +237,7 @@ func TestDeleteThenSearchSameKey(t *testing.T) {
 			vec := gaussMatrix(1, testDim, uint64(600+w)).Row(0)
 			q := vecmath.WrapMatrix(vec, 1, testDim)
 			for i := 0; i < 15; i++ {
-				if err := u.Insert(id, vec); err != nil {
+				if err := upsertOne(u, id, vec); err != nil {
 					t.Error(err)
 					return
 				}
@@ -250,7 +250,7 @@ func TestDeleteThenSearchSameKey(t *testing.T) {
 					t.Errorf("key %d: insert not visible (round %d)", id, i)
 					return
 				}
-				u.Delete(id)
+				u.Remove([]int64{id})
 				res, err = u.Search(q, mutable.SearchOpts{K: testK})
 				if err != nil {
 					t.Error(err)
@@ -291,7 +291,7 @@ func TestTieredSearchDuringSwapAndRebalance(t *testing.T) {
 
 	sentinel := gaussMatrix(1, testDim, 410).Row(0)
 	const sentinelID = int64(920_000)
-	if err := u.Insert(sentinelID, sentinel); err != nil {
+	if err := upsertOne(u, sentinelID, sentinel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -310,7 +310,7 @@ func TestTieredSearchDuringSwapAndRebalance(t *testing.T) {
 			default:
 			}
 			for i := 0; i < churn.Rows; i++ {
-				if err := u.Insert(next, churn.Row(i)); err != nil {
+				if err := upsertOne(u, next, churn.Row(i)); err != nil {
 					t.Error(err)
 					return
 				}

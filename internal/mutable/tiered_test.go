@@ -68,7 +68,7 @@ func TestTieredInsertDeleteSearchCompact(t *testing.T) {
 
 	v := gaussMatrix(1, testDim, 99).Row(0)
 	const id = int64(1_000_000)
-	if err := u.Insert(id, v); err != nil {
+	if err := upsertOne(u, id, v); err != nil {
 		t.Fatal(err)
 	}
 	if !hasID(searchOne(t, u, v), id) {
@@ -78,8 +78,8 @@ func TestTieredInsertDeleteSearchCompact(t *testing.T) {
 	if ok, err := u.Compact(true); err != nil || !ok {
 		t.Fatalf("compact: ok=%v err=%v", ok, err)
 	}
-	if u.Epoch() != 1 {
-		t.Fatalf("epoch %d after compaction, want 1", u.Epoch())
+	if u.Stats().Epoch != 1 {
+		t.Fatalf("epoch %d after compaction, want 1", u.Stats().Epoch)
 	}
 	// The old epoch has no pinned readers left, so exactly the new image
 	// remains on disk.
@@ -90,7 +90,7 @@ func TestTieredInsertDeleteSearchCompact(t *testing.T) {
 		t.Fatal("folded insert lost by tiered compaction")
 	}
 
-	u.Delete(id)
+	u.Remove([]int64{id})
 	if hasID(searchOne(t, u, v), id) {
 		t.Fatal("deleted id visible through the tiered read path")
 	}
@@ -154,11 +154,11 @@ func TestTieredMatchesInRAMDeployment(t *testing.T) {
 	for i := 0; i < updates.Rows; i++ {
 		id := int64(500_000 + i)
 		for _, u := range []*mutable.UpdatableIndex{tiered, inram} {
-			if err := u.Insert(id, updates.Row(i)); err != nil {
+			if err := upsertOne(u, id, updates.Row(i)); err != nil {
 				t.Fatal(err)
 			}
 			if i%5 == 0 {
-				u.Delete(id)
+				u.Remove([]int64{id})
 			}
 		}
 	}
@@ -297,7 +297,7 @@ func TestPendingWritesDoNotStarveResults(t *testing.T) {
 	for rank := 0; rank < 10; rank += 2 {
 		gone[top[0][rank].ID] = true
 		for _, u := range pair {
-			u.Delete(top[0][rank].ID)
+			u.Remove([]int64{top[0][rank].ID})
 		}
 	}
 	check("deleted/unfiltered", q, o, gone)
@@ -313,7 +313,7 @@ func TestPendingWritesDoNotStarveResults(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id := top[0][2*i].ID
 		for _, u := range pair {
-			if err := u.InsertWithAttrs(id, moved.Row(i), attrsOf(id)); err != nil {
+			if err := upsertOneWithAttrs(u, id, moved.Row(i), attrsOf(id)); err != nil {
 				t.Fatal(err)
 			}
 		}

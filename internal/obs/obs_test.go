@@ -167,7 +167,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 
 	// A remote start continues the identity and always samples.
 	remote := tc.StartRemote(h, "serve.request")
-	if remote == nil || remote.ID() != tr.ID() || !remote.Remote() {
+	if remote == nil || remote.ID() != tr.ID() || !remote.remote {
 		t.Fatalf("remote start mismatch: %+v", remote)
 	}
 	// Unsampled upstream decision wins.

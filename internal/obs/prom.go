@@ -144,17 +144,6 @@ func escapeLabel(v string) string {
 // Bytes returns the rendered exposition.
 func (w *PromWriter) Bytes() []byte { return w.buf.Bytes() }
 
-// Names returns every metric name written so far, sorted — the schema
-// regression tests pin on it.
-func (w *PromWriter) Names() []string {
-	names := make([]string, 0, len(w.typed))
-	for n := range w.typed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MetricsHandler turns a collect callback into a GET /metrics endpoint.
 // The callback runs once per scrape against a fresh writer.
 func MetricsHandler(collect func(w *PromWriter)) http.Handler {

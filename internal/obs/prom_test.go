@@ -2,6 +2,7 @@ package obs
 
 import (
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,7 +54,11 @@ func TestPromWriterFormat(t *testing.T) {
 	if !strings.Contains(out, `shard="we\"ird"`) {
 		t.Fatalf("label escaping broken:\n%s", out)
 	}
-	names := w.Names()
+	names := make([]string, 0, len(w.typed))
+	for n := range w.typed {
+		names = append(names, n)
+	}
+	sort.Strings(names)
 	if len(names) != 3 || names[0] != "upanns_test_depth" {
 		t.Fatalf("names %v", names)
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -624,12 +623,4 @@ func (q *Quality) WriteMetrics(w *PromWriter) {
 		paged = 1
 	}
 	w.Gauge("upanns_quality_drift_paged", "1 while the drift detector is paging.", paged)
-}
-
-// Handler serves the plane's snapshot as the /quality JSON endpoint.
-// Safe on a nil plane (reports "disabled").
-func (q *Quality) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, q.Snapshot())
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -295,18 +294,20 @@ func TestQualityNilAndClosed(t *testing.T) {
 	}
 }
 
-// The /quality endpoint serves the snapshot, and WriteMetrics emits the
-// upanns_quality_* families.
+// The snapshot (the /quality payload) survives JSON, and WriteMetrics
+// emits the upanns_quality_* families.
 func TestQualityHandlerAndMetrics(t *testing.T) {
 	q := NewQuality(QualityConfig{ShardID: "s9", SampleEvery: 1, QueueDepth: 64},
 		fixedOracle(QualityTruth{Truth: ids(0, 10), NProbe: 8, Cluster: -1, Selectivity: 1}), nil, nil)
 	defer q.Close()
 	submitAll(t, q, QualitySample{Vector: []float32{1}, K: 10, Live: ids(0, 10)}, 5)
 
-	rec := httptest.NewRecorder()
-	q.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/quality", nil))
+	body, err := json.Marshal(q.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var snap QualitySnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("decoding /quality: %v", err)
 	}
 	if snap.ShardID != "s9" || snap.Executed != 5 || snap.Recall.Estimate != 1 {

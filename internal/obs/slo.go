@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"net/http"
 	"sync"
 	"time"
 )
@@ -403,12 +402,4 @@ func (t *SLOTracker) WriteMetrics(w *PromWriter) {
 	w.Counter("upanns_slo_bad_total", "Budget-burning requests per objective.", float64(snap.Slow), "objective", "latency")
 	w.Counter("upanns_slo_bad_total", "Budget-burning requests per objective.", float64(snap.Degraded), "objective", "integrity")
 	w.Counter("upanns_slo_bad_total", "Budget-burning requests per objective.", float64(snap.QualityBad), "objective", "quality")
-}
-
-// Handler serves the tracker's snapshot as the /slo JSON endpoint.
-// Safe to call on a nil tracker (reports "disabled").
-func (t *SLOTracker) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, t.Snapshot())
-	})
 }

@@ -106,18 +106,6 @@ func (tr *Trace) ID() string {
 	return tr.id
 }
 
-// Root returns the root span (nil on a nil trace).
-func (tr *Trace) Root() *Span {
-	if tr == nil {
-		return nil
-	}
-	return tr.root
-}
-
-// Remote reports whether the trace was started from an incoming
-// traceparent header (i.e. a shard-side segment of a routed request).
-func (tr *Trace) Remote() bool { return tr != nil && tr.remote }
-
 // StartSpan opens a child span under parent (nil parent = under the
 // root) starting now. Returns nil on a nil trace.
 func (tr *Trace) StartSpan(parent *Span, name string) *Span {

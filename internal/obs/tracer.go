@@ -74,14 +74,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	}
 }
 
-// Config returns the tracer's effective (default-filled) configuration.
-func (t *Tracer) Config() TracerConfig {
-	if t == nil {
-		return TracerConfig{}
-	}
-	return t.cfg
-}
-
 // Start opens a locally-originated trace named name, or returns nil when
 // head sampling skips this request (or the tracer is nil).
 func (t *Tracer) Start(name string) *Trace {

@@ -44,9 +44,6 @@ func newDPU(id int, spec *Spec) *DPU {
 // offsets, mirroring the paper's manual WRAM layout (there is no MMU).
 func (d *DPU) WRAM() []byte { return d.wram }
 
-// MRAMUsed returns the high-water mark of MRAM bytes in use.
-func (d *DPU) MRAMUsed() int { return len(d.mram) }
-
 // ensureMRAM grows the backing store to cover [0, end), enforcing the
 // spec's per-DPU MRAM capacity.
 func (d *DPU) ensureMRAM(end int) error {

@@ -195,8 +195,8 @@ func TestMRAMUsedHighWater(t *testing.T) {
 	d := sys.DPUs[0]
 	d.WriteMRAM(0, make([]byte, 100))
 	d.WriteMRAM(1000, make([]byte, 24))
-	if got := d.MRAMUsed(); got != 1024 {
-		t.Fatalf("MRAMUsed = %d, want 1024", got)
+	if got := len(d.mram); got != 1024 {
+		t.Fatalf("MRAM high-water mark = %d, want 1024", got)
 	}
 }
 

@@ -46,27 +46,6 @@ type Placement struct {
 	Sizes []int
 }
 
-// NumReplicas returns the replica count of cluster c.
-func (p *Placement) NumReplicas(c int) int { return len(p.Replicas[c]) }
-
-// MaxLoadRatio returns max/avg of the offline load estimate.
-func (p *Placement) MaxLoadRatio() float64 {
-	if len(p.Load) == 0 {
-		return 1
-	}
-	var sum, maxL float64
-	for _, l := range p.Load {
-		sum += l
-		if l > maxL {
-			maxL = l
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return maxL / (sum / float64(len(p.Load)))
-}
-
 // Place runs Algorithm 1 over all clusters. sizes[i] and freqs[i] are
 // cluster i's vector count and historical access frequency; order is the
 // cluster processing sequence (nil = descending workload), which callers
@@ -347,12 +326,6 @@ func (a *Assignment) BalanceRatio() float64 {
 		return 1
 	}
 	return maxL / (sum / float64(n))
-}
-
-// Schedule runs Algorithm 2 with no per-probe overhead. See
-// ScheduleWeighted.
-func Schedule(filtered [][]int32, sizes []int, p *Placement) *Assignment {
-	return ScheduleWeighted(filtered, sizes, 0, p)
 }
 
 // ScheduleWeighted runs Algorithm 2: filtered[i] lists the nprobe cluster

@@ -29,6 +29,32 @@ func skewedWorkload(r *xrand.RNG, m int) ([]int, []float64) {
 	return sizes, freqs
 }
 
+// maxLoadRatio returns max/avg of p's offline load estimate.
+func maxLoadRatio(p *Placement) float64 {
+	var sum, maxL float64
+	for _, l := range p.Load {
+		sum += l
+		maxL = max(maxL, l)
+	}
+	return maxL / (sum / float64(len(p.Load)))
+}
+
+// perm returns a random permutation of [0, n).
+func perm(r *xrand.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// uniform32 returns a uniform float32 in [0, 1).
+func uniform32(r *xrand.RNG) float32 { return float32(r.Uint64()>>40) / (1 << 24) }
+
 func TestPlaceCoversEveryCluster(t *testing.T) {
 	r := xrand.New(1)
 	sizes, freqs := skewedWorkload(r, 64)
@@ -57,10 +83,10 @@ func TestPlaceReplicatesHotClusters(t *testing.T) {
 	sizes := []int{1000, 10, 10, 10, 10, 10, 10, 10}
 	freqs := []float64{100, 1, 1, 1, 1, 1, 1, 1}
 	p := Place(sizes, freqs, 8, nil, DefaultParams())
-	if n := p.NumReplicas(0); n < 4 {
+	if n := len(p.Replicas[0]); n < 4 {
 		t.Errorf("hot cluster got %d replicas, want several", n)
 	}
-	if n := p.NumReplicas(1); n != 1 {
+	if n := len(p.Replicas[1]); n != 1 {
 		t.Errorf("cold cluster got %d replicas, want 1", n)
 	}
 }
@@ -69,13 +95,13 @@ func TestPlaceBalancesLoad(t *testing.T) {
 	r := xrand.New(2)
 	sizes, freqs := skewedWorkload(r, 128)
 	p := Place(sizes, freqs, 32, nil, DefaultParams())
-	if ratio := p.MaxLoadRatio(); ratio > 1.6 {
+	if ratio := maxLoadRatio(p); ratio > 1.6 {
 		t.Errorf("offline load ratio %v, want near 1", ratio)
 	}
 	rand := RandomPlacement(sizes, 32, 2)
-	if p.MaxLoadRatio() >= rand.MaxLoadRatio() {
+	if maxLoadRatio(p) >= maxLoadRatio(rand) {
 		t.Errorf("Algorithm 1 ratio %v not better than random %v",
-			p.MaxLoadRatio(), rand.MaxLoadRatio())
+			maxLoadRatio(p), maxLoadRatio(rand))
 	}
 }
 
@@ -115,7 +141,7 @@ func TestProximityOrderVisitsAll(t *testing.T) {
 	r := xrand.New(3)
 	cents := vecmath.NewMatrix(20, 4)
 	for i := range cents.Data {
-		cents.Data[i] = r.Float32()
+		cents.Data[i] = uniform32(r)
 	}
 	order := ProximityOrder(cents)
 	if len(order) != 20 {
@@ -150,12 +176,12 @@ func TestScheduleAssignsEveryProbeOnce(t *testing.T) {
 	p := Place(sizes, freqs, 8, nil, DefaultParams())
 	filtered := make([][]int32, 50)
 	for qi := range filtered {
-		perm := r.Perm(32)
-		for _, c := range perm[:4] {
+		order := perm(r, 32)
+		for _, c := range order[:4] {
 			filtered[qi] = append(filtered[qi], int32(c))
 		}
 	}
-	a := Schedule(filtered, sizes, p)
+	a := ScheduleWeighted(filtered, sizes, 0, p)
 	type key struct{ q, c int32 }
 	seen := map[key]int{}
 	for d := range a.PerDPU {
@@ -195,8 +221,8 @@ func TestScheduleBalancesBetterThanRandomPlacement(t *testing.T) {
 			filtered[qi] = append(filtered[qi], int32(c))
 		}
 	}
-	smart := Schedule(filtered, sizes, Place(sizes, freqs, 16, nil, DefaultParams()))
-	naive := Schedule(filtered, sizes, RandomPlacement(sizes, 16, 5))
+	smart := ScheduleWeighted(filtered, sizes, 0, Place(sizes, freqs, 16, nil, DefaultParams()))
+	naive := ScheduleWeighted(filtered, sizes, 0, RandomPlacement(sizes, 16, 5))
 	if smart.BalanceRatio() >= naive.BalanceRatio() {
 		t.Errorf("UpANNS schedule ratio %v not better than naive %v",
 			smart.BalanceRatio(), naive.BalanceRatio())
@@ -208,7 +234,7 @@ func TestScheduleBalancesBetterThanRandomPlacement(t *testing.T) {
 
 func TestScheduleEmptyBatch(t *testing.T) {
 	p := Place([]int{10}, []float64{1}, 2, nil, DefaultParams())
-	a := Schedule(nil, []int{10}, p)
+	a := ScheduleWeighted(nil, []int{10}, 0, p)
 	if a.BalanceRatio() != 1 {
 		t.Errorf("empty batch ratio %v", a.BalanceRatio())
 	}
@@ -231,13 +257,13 @@ func TestSchedulePropertyAllAssigned(t *testing.T) {
 		total := 0
 		for qi := range filtered {
 			np := r.Intn(m/2) + 1
-			perm := r.Perm(m)
-			for _, c := range perm[:np] {
+			order := perm(r, m)
+			for _, c := range order[:np] {
 				filtered[qi] = append(filtered[qi], int32(c))
 				total++
 			}
 		}
-		a := Schedule(filtered, sizes, p)
+		a := ScheduleWeighted(filtered, sizes, 0, p)
 		got := 0
 		for _, tasks := range a.PerDPU {
 			got += len(tasks)
@@ -266,7 +292,7 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Schedule(filtered, sizes, p)
+		ScheduleWeighted(filtered, sizes, 0, p)
 	}
 }
 
@@ -303,8 +329,8 @@ func TestPlaceBenchWorkloadTerminates(t *testing.T) {
 	go func() { done <- Place(sizes, freqs, 896, nil, DefaultParams()) }()
 	select {
 	case p := <-done:
-		if p.MaxLoadRatio() > 5 {
-			t.Errorf("load ratio %v suspiciously high", p.MaxLoadRatio())
+		if maxLoadRatio(p) > 5 {
+			t.Errorf("load ratio %v suspiciously high", maxLoadRatio(p))
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("Place did not terminate on the benchmark workload")

@@ -46,13 +46,6 @@ type Quantizer struct {
 	Codebooks []float32
 }
 
-// Train learns full 256-entry per-subspace codebooks from the rows of
-// data (typically IVF residuals). It panics if dim is not divisible by m
-// or data is empty.
-func Train(data *vecmath.Matrix, m int, seed uint64) *Quantizer {
-	return TrainK(data, m, CodebookSize, seed)
-}
-
 // TrainK trains ksub centroids per subspace (2 <= ksub <= CodebookSize).
 func TrainK(data *vecmath.Matrix, m, ksub int, seed uint64) *Quantizer {
 	if m <= 0 || data.Dim%m != 0 {
@@ -89,9 +82,6 @@ func (q *Quantizer) CodebookEntry(m, j int) []float32 {
 	base := (m*q.KSub + j) * q.Dsub
 	return q.Codebooks[base : base+q.Dsub : base+q.Dsub]
 }
-
-// CodeBytes returns the encoded size of one vector in bytes.
-func (q *Quantizer) CodeBytes() int { return q.M }
 
 // Encode writes the M-byte code of vec into dst and returns it. If dst is
 // too short a new slice is allocated. Panics if len(vec) != Dim.
@@ -151,14 +141,6 @@ func (q *Quantizer) Decode(dst []float32, codes []uint8) []float32 {
 // LUT is a float32 ADC lookup table for one query residual:
 // len == M*CodebookSize, entry (m, j) at m*CodebookSize+j.
 type LUT []float32
-
-// BuildLUT computes the ADC table for query (residual) vec. Panics if
-// len(vec) != Dim.
-func (q *Quantizer) BuildLUT(vec []float32) LUT {
-	lut := make(LUT, q.M*CodebookSize)
-	q.BuildLUTInto(lut, vec)
-	return lut
-}
 
 // BuildLUTInto fills an existing table (len M*CodebookSize) in place.
 // Rows keep the 256 stride and only their first KSub entries are
@@ -263,23 +245,6 @@ func QuantizeEntry(v, scale float32) uint16 {
 		f = 0
 	}
 	return uint16(f + 0.5)
-}
-
-// Quantize converts a float LUT to the uint16 WRAM form. The scale is
-// chosen so the largest entry maps near the top of the uint16 range while
-// leaving headroom for M-entry sums in uint32 (always safe: M*65535 << 2^32).
-func (q *Quantizer) Quantize(lut LUT) *QLUT {
-	var maxV float32
-	for _, v := range lut {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	scale := float32(65535)
-	if maxV > 0 {
-		scale = 65535 / maxV
-	}
-	return q.QuantizeWithScale(lut, scale)
 }
 
 // QuantizeWithScale converts a float LUT using a caller-provided scale.

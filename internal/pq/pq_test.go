@@ -22,17 +22,40 @@ func randomData(seed uint64, rows, dim int) *vecmath.Matrix {
 	return m
 }
 
+// train learns full 256-entry per-subspace codebooks.
+func train(data *vecmath.Matrix, m int, seed uint64) *Quantizer {
+	return TrainK(data, m, CodebookSize, seed)
+}
+
+// buildLUT returns a fresh ADC table for vec.
+func buildLUT(q *Quantizer, vec []float32) LUT {
+	lut := make(LUT, q.M*CodebookSize)
+	q.BuildLUTInto(lut, vec)
+	return lut
+}
+
+// quantize converts lut to the uint16 form under the scale that maps its
+// largest entry to the top of the range (65535 for an all-zero table).
+func quantize(q *Quantizer, lut LUT) *QLUT {
+	var maxV float32
+	for _, v := range lut {
+		maxV = max(maxV, v)
+	}
+	scale := float32(65535)
+	if maxV > 0 {
+		scale = 65535 / maxV
+	}
+	return q.QuantizeWithScale(lut, scale)
+}
+
 func TestTrainShapes(t *testing.T) {
 	data := randomData(1, 2000, 32)
-	q := Train(data, 8, 1)
+	q := train(data, 8, 1)
 	if q.Dsub != 4 || q.M != 8 || q.Dim != 32 {
 		t.Fatalf("bad shapes: %+v", q)
 	}
 	if len(q.Codebooks) != 8*CodebookSize*4 {
 		t.Fatalf("codebook size %d", len(q.Codebooks))
-	}
-	if q.CodeBytes() != 8 {
-		t.Fatalf("CodeBytes = %d", q.CodeBytes())
 	}
 }
 
@@ -42,12 +65,12 @@ func TestTrainPanicsOnIndivisible(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Train(randomData(1, 10, 10), 3, 1)
+	train(randomData(1, 10, 10), 3, 1)
 }
 
 func TestEncodeDecodeReducesError(t *testing.T) {
 	data := randomData(2, 3000, 16)
-	q := Train(data, 4, 2)
+	q := train(data, 4, 2)
 	var quantErr, norm float64
 	dec := make([]float32, 16)
 	codes := make([]uint8, 4)
@@ -56,7 +79,9 @@ func TestEncodeDecodeReducesError(t *testing.T) {
 		q.Encode(codes, v)
 		q.Decode(dec, codes)
 		quantErr += float64(vecmath.L2Squared(v, dec))
-		norm += float64(vecmath.Dot(v, v))
+		for _, x := range v {
+			norm += float64(x) * float64(x)
+		}
 	}
 	// PQ with 256 centroids per 4-dim subspace should capture most energy.
 	if quantErr/norm > 0.35 {
@@ -66,7 +91,7 @@ func TestEncodeDecodeReducesError(t *testing.T) {
 
 func TestEncodeIdempotentOnCodebookEntries(t *testing.T) {
 	data := randomData(3, 1000, 8)
-	q := Train(data, 2, 3)
+	q := train(data, 2, 3)
 	// A vector assembled from codebook entries must reconstruct exactly.
 	vec := make([]float32, 8)
 	copy(vec[0:4], q.CodebookEntry(0, 17))
@@ -81,7 +106,7 @@ func TestEncodeIdempotentOnCodebookEntries(t *testing.T) {
 
 func TestADCMatchesDecodedDistance(t *testing.T) {
 	data := randomData(4, 2000, 24)
-	q := Train(data, 6, 4)
+	q := train(data, 6, 4)
 	r := xrand.New(99)
 	codes := make([]uint8, 6)
 	dec := make([]float32, 24)
@@ -93,7 +118,7 @@ func TestADCMatchesDecodedDistance(t *testing.T) {
 		v := data.Row(r.Intn(data.Rows))
 		q.Encode(codes, v)
 		q.Decode(dec, codes)
-		lut := q.BuildLUT(query)
+		lut := buildLUT(q, query)
 		adc := float64(ADCDistance(lut, codes))
 		direct := float64(vecmath.L2Squared(query, dec))
 		if math.Abs(adc-direct) > 1e-3*(1+direct) {
@@ -104,7 +129,7 @@ func TestADCMatchesDecodedDistance(t *testing.T) {
 
 func TestADCPropertyRandomCodes(t *testing.T) {
 	data := randomData(5, 1500, 8)
-	q := Train(data, 4, 5)
+	q := train(data, 4, 5)
 	f := func(seed uint32, c0, c1, c2, c3 uint8) bool {
 		r := xrand.New(uint64(seed))
 		query := make([]float32, 8)
@@ -112,7 +137,7 @@ func TestADCPropertyRandomCodes(t *testing.T) {
 			query[i] = float32(r.NormFloat64())
 		}
 		codes := []uint8{c0, c1, c2, c3}
-		lut := q.BuildLUT(query)
+		lut := buildLUT(q, query)
 		adc := float64(ADCDistance(lut, codes))
 		direct := float64(vecmath.L2Squared(query, q.Decode(nil, codes)))
 		return math.Abs(adc-direct) <= 1e-3*(1+direct)
@@ -126,14 +151,14 @@ func TestQuantizeMonotonicity(t *testing.T) {
 	// Quantized distances must (approximately) preserve the ordering of
 	// float distances across many candidates.
 	data := randomData(6, 3000, 16)
-	q := Train(data, 4, 6)
+	q := train(data, 4, 6)
 	r := xrand.New(7)
 	query := make([]float32, 16)
 	for i := range query {
 		query[i] = float32(r.NormFloat64())
 	}
-	lut := q.BuildLUT(query)
-	ql := q.Quantize(lut)
+	lut := buildLUT(q, query)
+	ql := quantize(q, lut)
 
 	type pair struct {
 		f  float32
@@ -162,14 +187,14 @@ func TestQuantizeMonotonicity(t *testing.T) {
 
 func TestQuantizeRoundTripScale(t *testing.T) {
 	data := randomData(8, 1000, 8)
-	q := Train(data, 2, 8)
+	q := train(data, 2, 8)
 	r := xrand.New(11)
 	query := make([]float32, 8)
 	for i := range query {
 		query[i] = float32(r.NormFloat64())
 	}
-	lut := q.BuildLUT(query)
-	ql := q.Quantize(lut)
+	lut := buildLUT(q, query)
+	ql := quantize(q, lut)
 	codes := make([]uint8, 2)
 	for i := 0; i < 100; i++ {
 		q.Encode(codes, data.Row(i))
@@ -183,9 +208,9 @@ func TestQuantizeRoundTripScale(t *testing.T) {
 
 func TestQuantizeAllZerosLUT(t *testing.T) {
 	data := randomData(9, 600, 8)
-	q := Train(data, 2, 9)
+	q := train(data, 2, 9)
 	lut := make(LUT, 2*CodebookSize) // all zeros
-	ql := q.Quantize(lut)
+	ql := quantize(q, lut)
 	if ql.QDistance([]uint8{0, 1}) != 0 {
 		t.Fatal("zero LUT must give zero distances")
 	}
@@ -196,7 +221,7 @@ func TestQuantizeAllZerosLUT(t *testing.T) {
 
 func TestBuildLUTIntoValidation(t *testing.T) {
 	data := randomData(10, 600, 8)
-	q := Train(data, 2, 10)
+	q := train(data, 2, 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for short LUT")
@@ -207,7 +232,7 @@ func TestBuildLUTIntoValidation(t *testing.T) {
 
 func TestEncodeReusesDst(t *testing.T) {
 	data := randomData(11, 600, 8)
-	q := Train(data, 2, 11)
+	q := train(data, 2, 11)
 	dst := make([]uint8, 2)
 	out := q.Encode(dst, data.Row(0))
 	if &out[0] != &dst[0] {
@@ -274,7 +299,7 @@ func TestBuildLUTMatchesReference(t *testing.T) {
 				for i := range vec {
 					vec[i] = float32(r.NormFloat64() * mag)
 				}
-				ref := q.BuildLUT(vec)
+				ref := buildLUT(q, vec)
 				var maxV float32
 				for _, v := range ref {
 					maxV = max(maxV, v)
@@ -384,7 +409,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 
 func BenchmarkEncode(b *testing.B) {
 	data := randomData(1, 2000, 128)
-	q := Train(data, 16, 1)
+	q := train(data, 16, 1)
 	codes := make([]uint8, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -394,7 +419,7 @@ func BenchmarkEncode(b *testing.B) {
 
 func BenchmarkBuildLUT(b *testing.B) {
 	data := randomData(1, 2000, 128)
-	q := Train(data, 16, 1)
+	q := train(data, 16, 1)
 	lut := make(LUT, 16*CodebookSize)
 	query := data.Row(0)
 	b.ResetTimer()
@@ -405,8 +430,8 @@ func BenchmarkBuildLUT(b *testing.B) {
 
 func BenchmarkADCDistance(b *testing.B) {
 	data := randomData(1, 2000, 128)
-	q := Train(data, 16, 1)
-	lut := q.BuildLUT(data.Row(0))
+	q := train(data, 16, 1)
+	lut := buildLUT(q, data.Row(0))
 	codes := q.Encode(nil, data.Row(1))
 	b.ResetTimer()
 	var sink float32

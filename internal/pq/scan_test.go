@@ -89,7 +89,7 @@ func TestQuantizeWithScaleIntoMatchesQuantizeWithScale(t *testing.T) {
 	for i := range vec {
 		vec[i] = rng.Float32()
 	}
-	lut := q.BuildLUT(vec)
+	lut := buildLUT(q, vec)
 	ql := q.QuantizeWithScale(lut, 512)
 	dst := make([]uint16, len(lut))
 	QuantizeWithScaleInto(dst, lut, 512)
@@ -104,7 +104,7 @@ func TestQuantizeWithScaleIntoMatchesQuantizeWithScale(t *testing.T) {
 func trainedQuantizer(t *testing.T, rng *rand.Rand, dim, m int) *Quantizer {
 	t.Helper()
 	_ = rng
-	return Train(randomData(3, 256, dim), m, 3)
+	return train(randomData(3, 256, dim), m, 3)
 }
 
 // FuzzADCScan feeds arbitrary code bytes and LUT contents through every

@@ -337,9 +337,6 @@ func (h *Handler) StartDraining() {
 	}
 }
 
-// Draining reports whether StartDraining has been called.
-func (h *Handler) Draining() bool { return h.draining.Load() }
-
 // shedIfDraining rejects the request with 503 during drain; it reports
 // whether a response was written.
 func (h *Handler) shedIfDraining(w http.ResponseWriter) bool {

@@ -161,9 +161,6 @@ func NewWriteBatcher(cfg WriteConfig, b WriteBackend) *WriteBatcher {
 	return w
 }
 
-// Config returns the batcher's effective (default-filled) configuration.
-func (w *WriteBatcher) Config() WriteConfig { return w.cfg }
-
 // Upsert inserts-or-replaces vec under id, blocking until the write is
 // applied or the deadline — the earlier of ctx's deadline and
 // DefaultTimeout — expires. Under overload it fails fast with

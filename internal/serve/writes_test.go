@@ -226,7 +226,7 @@ func TestWriteBatcherValidation(t *testing.T) {
 	if err := w.Upsert(context.Background(), 1, make([]float32, 5)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	if w.Config().MaxBatch != DefaultWriteConfig().MaxBatch {
+	if w.cfg.MaxBatch != DefaultWriteConfig().MaxBatch {
 		t.Fatal("defaults not applied")
 	}
 }

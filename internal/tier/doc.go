@@ -1,10 +1,10 @@
 // Package tier is the out-of-core cluster store: it serves IVFPQ
 // corpora several times larger than RAM by mapping the paper's
 // MRAM/WRAM split onto the host storage hierarchy. Cluster payloads
-// (ids + PQ codes) live behind the ClusterSource interface — in-RAM
-// slabs (RAMSource) or a pread-addressed image file written by
-// ivfpq.WriteImage (ImageSource) — and a Store layers three residency
-// mechanisms on top:
+// (ids + PQ codes) live behind the ClusterSource interface — a
+// pread-addressed image file written by ivfpq.WriteImage (ImageSource),
+// or in tests the in-RAM slabs of an index — and a Store layers three
+// residency mechanisms on top:
 //
 //   - a WRAM-analogue hot set: the most-frequently-probed clusters,
 //     chosen by placement.HotSet under a byte budget from the access
@@ -29,7 +29,7 @@
 // and under filter pushdown (the golden suite pins this). I/O failures
 // surface as errors, or — under Config.SkipFaulty —
 // as per-cluster skips counted in SearchStats and on /metrics: a faulty
-// device can degrade a result, never silently corrupt one. FaultReaderAt
-// is the fault-injection shim the tests drive short reads, EIO, and slow
-// reads through.
+// device can degrade a result, never silently corrupt one. The tests
+// drive short reads, EIO and slow reads through a fault-injecting
+// io.ReaderAt mounted under an ImageSource.
 package tier

@@ -36,6 +36,18 @@ func faultyIndexFor(t *testing.T, ix *ivfpq.Index, cfg Config) (*Index, *FaultRe
 	return ti, fr
 }
 
+// clusterExtent returns cluster c's byte range [off, off+n) in the image
+// WriteImage writes from ix — its ids block followed by its codes block,
+// after the UPCI header (magic, six u32 fields) and the u64 cluster
+// counts; see ivfpq.WriteImage for the layout.
+func clusterExtent(ix *ivfpq.Index, c int32) (off, n int64) {
+	off = 4 + 6*4 + 8*int64(ix.NList())
+	for i := int32(0); i < c; i++ {
+		off += int64(ix.Lists[i].Len()) * int64(8+ix.PQ.M)
+	}
+	return off, int64(ix.Lists[c].Len()) * int64(8+ix.PQ.M)
+}
+
 // probedCluster returns a non-empty cluster the query will probe (the
 // last such, so faults land mid-search, after healthy clusters scanned).
 func probedCluster(t *testing.T, ix *ivfpq.Index, q []float32, nprobe int) int32 {
@@ -70,7 +82,7 @@ func TestFaultHardErrorFailsSearch(t *testing.T) {
 	if _, _, err := ti.Search(q, o); err != nil {
 		t.Fatalf("pre-fault search failed: %v", err)
 	}
-	off, n := ti.Store().Source().(*ImageSource).Image().ClusterExtent(target)
+	off, n := clusterExtent(ix, target)
 	fr.InjectError(off, off+n, nil)
 	_, st, err := ti.Search(q, o)
 	if err == nil {
@@ -91,7 +103,6 @@ func TestFaultHardErrorFailsSearch(t *testing.T) {
 func TestFaultSkipPolicyDegradesExactly(t *testing.T) {
 	ix, data := buildIndex(t, 42, 2500, 16, 12, 8)
 	ti, fr := faultyIndexFor(t, ix, Config{SkipFaulty: true})
-	img := ti.Store().Source().(*ImageSource).Image()
 	preds := []struct {
 		name  string
 		allow func(id int64) bool
@@ -103,7 +114,7 @@ func TestFaultSkipPolicyDegradesExactly(t *testing.T) {
 		q := data.Row(trial * 29)
 		o := ivfpq.SearchOpts{NProbe: 5, K: 8}
 		target := probedCluster(t, ix, q, o.NProbe)
-		off, n := img.ClusterExtent(target)
+		off, n := clusterExtent(ix, target)
 		fr.InjectError(off, off+n, nil)
 		degraded := withoutCluster(ix, target)
 		for _, quantized := range []bool{false, true} {
@@ -138,14 +149,14 @@ func TestFaultShortRead(t *testing.T) {
 	target := probedCluster(t, ix, q, o.NProbe)
 
 	strict, fr := faultyIndexFor(t, ix, Config{})
-	off, n := strict.Store().Source().(*ImageSource).Image().ClusterExtent(target)
+	off, n := clusterExtent(ix, target)
 	fr.InjectShortRead(off, off+n)
 	if _, _, err := strict.Search(q, o); err == nil {
 		t.Fatal("short read surfaced no error without SkipFaulty")
 	}
 
 	lax, fr2 := faultyIndexFor(t, ix, Config{SkipFaulty: true})
-	off, n = lax.Store().Source().(*ImageSource).Image().ClusterExtent(target)
+	off, n = clusterExtent(ix, target)
 	fr2.InjectShortRead(off, off+n)
 	got, st, err := lax.Search(q, o)
 	if err != nil {
@@ -164,7 +175,7 @@ func TestFaultSlowReadStaysCorrect(t *testing.T) {
 	q := data.Row(11)
 	o := ivfpq.SearchOpts{NProbe: 3, K: 10}
 	target := probedCluster(t, ix, q, o.NProbe)
-	off, n := ti.Store().Source().(*ImageSource).Image().ClusterExtent(target)
+	off, n := clusterExtent(ix, target)
 	const delay = 25 * time.Millisecond
 	fr.InjectSlow(off, off+n, delay)
 
@@ -191,11 +202,10 @@ func TestFaultSlowReadStaysCorrect(t *testing.T) {
 func TestFaultPrefetchFallsBackCold(t *testing.T) {
 	ix, data := buildIndex(t, 45, 1800, 16, 10, 8)
 	ti, fr := faultyIndexFor(t, ix, Config{SkipFaulty: true, PrefetchWorkers: 2, PrefetchDepth: 8})
-	img := ti.Store().Source().(*ImageSource).Image()
 	q := data.Row(5)
 	o := ivfpq.SearchOpts{NProbe: 5, K: 10}
 	target := probedCluster(t, ix, q, o.NProbe)
-	off, n := img.ClusterExtent(target)
+	off, n := clusterExtent(ix, target)
 	fr.InjectError(off, off+n, nil)
 
 	got, st, err := ti.Search(q, o)
@@ -224,7 +234,6 @@ func TestFaultPrefetchFallsBackCold(t *testing.T) {
 func TestFaultRebalanceSkipsFaultyPromotion(t *testing.T) {
 	ix, _ := buildIndex(t, 46, 1500, 16, 8, 8)
 	ti, fr := faultyIndexFor(t, ix, Config{HotBytes: 1 << 30})
-	img := ti.Store().Source().(*ImageSource).Image()
 
 	var target int32 = -1
 	for c := 0; c < ix.NList(); c++ {
@@ -233,7 +242,7 @@ func TestFaultRebalanceSkipsFaultyPromotion(t *testing.T) {
 			break
 		}
 	}
-	off, n := img.ClusterExtent(target)
+	off, n := clusterExtent(ix, target)
 	fr.InjectError(off, off+n, nil)
 
 	freqs := make([]float64, ix.NList())

@@ -7,9 +7,9 @@ import (
 	"repro/internal/ivfpq"
 )
 
-// ClusterSource is where a tier store gets cluster payloads from: the
-// in-RAM slabs of an ivfpq.Index, or an out-of-core image file. All
-// methods must be safe for concurrent use.
+// ClusterSource is where a tier store gets cluster payloads from: an
+// out-of-core image file (ImageSource), or in tests the in-RAM slabs of
+// an ivfpq.Index. All methods must be safe for concurrent use.
 type ClusterSource interface {
 	// NumClusters returns the cluster count.
 	NumClusters() int
@@ -29,53 +29,6 @@ type ClusterSource interface {
 	Resident(c int32) (ids []int64, codes []uint8, ok bool)
 }
 
-// RAMSource serves an index's in-RAM posting lists — the resident tier.
-// The lists must not be mutated while the source serves them (the same
-// immutability epoch snapshots already guarantee).
-type RAMSource struct {
-	lists  []ivfpq.List
-	m      int
-	ntotal int64
-}
-
-// NewRAMSource wraps ix's posting lists.
-func NewRAMSource(ix *ivfpq.Index) *RAMSource {
-	return &RAMSource{lists: ix.Lists, m: ix.PQ.M, ntotal: ix.NTotal}
-}
-
-// NumClusters returns the cluster count.
-func (s *RAMSource) NumClusters() int { return len(s.lists) }
-
-// M returns the PQ code width in bytes.
-func (s *RAMSource) M() int { return s.m }
-
-// Len returns cluster c's vector count.
-func (s *RAMSource) Len(c int32) int { return s.lists[c].Len() }
-
-// NTotal returns the total vector count.
-func (s *RAMSource) NTotal() int64 { return s.ntotal }
-
-// ReadInto copies the requested range out of the resident lists.
-func (s *RAMSource) ReadInto(ids []int64, codes []uint8, c int32, base int) error {
-	n := len(ids)
-	l := &s.lists[c]
-	if base < 0 || base+n > l.Len() {
-		return fmt.Errorf("tier: cluster %d range [%d, %d) outside its %d entries", c, base, base+n, l.Len())
-	}
-	if len(codes) != n*s.m {
-		return fmt.Errorf("tier: cluster %d: %d code bytes for %d ids (M %d)", c, len(codes), n, s.m)
-	}
-	copy(ids, l.IDs[base:base+n])
-	copy(codes, l.Codes[base*s.m:(base+n)*s.m])
-	return nil
-}
-
-// Resident returns the cluster's slices directly — always ok.
-func (s *RAMSource) Resident(c int32) ([]int64, []uint8, bool) {
-	l := &s.lists[c]
-	return l.IDs, l.Codes, true
-}
-
 // ImageSource serves a cluster image opened with ivfpq.OpenImage — the
 // out-of-core tier. Reads pread the backing io.ReaderAt; nothing is
 // resident.
@@ -90,10 +43,6 @@ type ImageSource struct {
 func NewImageSource(img *ivfpq.Image) *ImageSource {
 	return &ImageSource{img: img, idBuf: sync.Pool{New: func() any { b := []byte(nil); return &b }}}
 }
-
-// Image returns the backing image (fault harnesses use its cluster
-// extents to target reads).
-func (s *ImageSource) Image() *ivfpq.Image { return s.img }
 
 // NumClusters returns the cluster count.
 func (s *ImageSource) NumClusters() int { return s.img.NList() }

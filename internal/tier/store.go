@@ -132,9 +132,6 @@ func NewStore(src ClusterSource, cfg Config) *Store {
 	return s
 }
 
-// Source returns the backing cluster source.
-func (s *Store) Source() ClusterSource { return s.src }
-
 // NumClusters returns the cluster count.
 func (s *Store) NumClusters() int { return len(s.hot) }
 

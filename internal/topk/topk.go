@@ -1,7 +1,7 @@
 // Package topk implements the bounded top-k selection structures used by
-// every search backend, and the thread-local-heap merge with early
+// every search backend. The thread-local-heap merge with early
 // termination pruning that is UpANNS optimization 4 (Section 4.4 of the
-// paper).
+// paper, Fig. 15) runs in core's mergeTopK on these heaps.
 //
 // The convention throughout is "smaller distance is better": a Heap with
 // capacity k retains the k smallest distances seen, using a max-heap so the
@@ -30,9 +30,6 @@ func NewHeap(k int) *Heap {
 	}
 	return &Heap{items: make([]Candidate, 0, k), k: k}
 }
-
-// K returns the heap's capacity.
-func (h *Heap) K() int { return h.k }
 
 // Len returns the number of candidates currently held.
 func (h *Heap) Len() int { return len(h.items) }
@@ -161,74 +158,10 @@ func insertionSortTies(s []Candidate) {
 	}
 }
 
-// MergeStats reports the work performed by PrunedMerge so the Fig. 15
-// experiment can quantify how many insertions pruning eliminated.
+// MergeStats reports the work performed by core's pruned merge so the
+// Fig. 15 experiment can quantify how many insertions pruning eliminated.
 type MergeStats struct {
 	Considered int // candidates present across all local heaps
 	Inserted   int // candidates actually offered to the global heap
 	Pruned     int // candidates skipped by early termination
-}
-
-// PrunedMerge merges several thread-local heaps into a single global top-k,
-// reproducing the paper's Section 4.4 scheme: each local max-heap is
-// converted to an ascending (min-first) sequence, and as soon as a local
-// sequence's next-smallest distance cannot beat the global heap's current
-// worst, the remainder of that local heap is pruned wholesale.
-//
-// The returned candidates are in ascending distance order. The local heaps
-// are consumed (left empty).
-func PrunedMerge(k int, locals []*Heap) ([]Candidate, MergeStats) {
-	var stats MergeStats
-	global := NewHeap(k)
-	for _, lh := range locals {
-		if lh == nil || lh.Len() == 0 {
-			continue
-		}
-		asc := lh.Sorted() // min-heap conversion: ascending pop order
-		stats.Considered += len(asc)
-		for i, c := range asc {
-			if global.Full() && c.Dist >= global.Worst() {
-				// Everything after i in this local heap is >= c.Dist,
-				// so none of it can enter the global top-k.
-				stats.Pruned += len(asc) - i
-				break
-			}
-			global.Push(c.ID, c.Dist)
-			stats.Inserted++
-		}
-	}
-	return global.Sorted(), stats
-}
-
-// FullMerge merges local heaps without pruning (the baseline the paper
-// compares against): every candidate is offered to the global heap.
-func FullMerge(k int, locals []*Heap) ([]Candidate, MergeStats) {
-	var stats MergeStats
-	global := NewHeap(k)
-	for _, lh := range locals {
-		if lh == nil {
-			continue
-		}
-		for _, c := range lh.Items() {
-			stats.Considered++
-			stats.Inserted++
-			global.Push(c.ID, c.Dist)
-		}
-		lh.Reset()
-	}
-	return global.Sorted(), stats
-}
-
-// SelectK returns the k smallest-distance candidates from the given ids
-// and distances, ascending. It is the reference implementation used by
-// brute-force ground truth and tests.
-func SelectK(k int, ids []int64, dists []float32) []Candidate {
-	if len(ids) != len(dists) {
-		panic("topk: SelectK length mismatch")
-	}
-	h := NewHeap(k)
-	for i := range ids {
-		h.Push(ids[i], dists[i])
-	}
-	return h.Sorted()
 }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/xrand"
 )
 
+// uniform32 returns a uniform float32 in [0, 1).
+func uniform32(r *xrand.RNG) float32 { return float32(r.Uint64()>>40) / (1 << 24) }
+
 func TestHeapBasic(t *testing.T) {
 	h := NewHeap(3)
 	h.Push(1, 5)
@@ -120,7 +123,7 @@ func TestHeapMatchesSortProperty(t *testing.T) {
 		}
 		all := make([]pair, n)
 		for i := range all {
-			all[i] = pair{int64(i), r.Float32()}
+			all[i] = pair{int64(i), uniform32(r)}
 			h.Push(all[i].id, all[i].d)
 		}
 		sort.Slice(all, func(i, j int) bool {
@@ -149,139 +152,15 @@ func TestHeapMatchesSortProperty(t *testing.T) {
 	}
 }
 
-func buildLocals(r *xrand.RNG, nHeaps, k, perHeap int) []*Heap {
-	locals := make([]*Heap, nHeaps)
-	id := int64(0)
-	for i := range locals {
-		locals[i] = NewHeap(k)
-		for j := 0; j < perHeap; j++ {
-			locals[i].Push(id, r.Float32())
-			id++
-		}
-	}
-	return locals
-}
-
-func clone(locals []*Heap) []*Heap {
-	out := make([]*Heap, len(locals))
-	for i, h := range locals {
-		c := NewHeap(h.K())
-		for _, it := range h.Items() {
-			c.Push(it.ID, it.Dist)
-		}
-		out[i] = c
-	}
-	return out
-}
-
-func TestPrunedMergeEqualsFullMerge(t *testing.T) {
-	r := xrand.New(99)
-	for trial := 0; trial < 50; trial++ {
-		k := r.Intn(10) + 1
-		locals := buildLocals(r, r.Intn(8)+1, k, r.Intn(30))
-		locals2 := clone(locals)
-		pruned, _ := PrunedMerge(k, locals)
-		full, _ := FullMerge(k, locals2)
-		if len(pruned) != len(full) {
-			t.Fatalf("trial %d: len %d vs %d", trial, len(pruned), len(full))
-		}
-		for i := range pruned {
-			if pruned[i] != full[i] {
-				t.Fatalf("trial %d: pruned[%d]=%+v full=%+v", trial, i, pruned[i], full[i])
-			}
-		}
-	}
-}
-
-func TestPrunedMergeActuallyPrunes(t *testing.T) {
-	r := xrand.New(7)
-	locals := buildLocals(r, 16, 20, 20)
-	_, stats := PrunedMerge(20, locals)
-	if stats.Pruned == 0 {
-		t.Error("expected some pruning with 16 full local heaps")
-	}
-	if stats.Inserted+stats.Pruned != stats.Considered {
-		t.Errorf("stats inconsistent: %+v", stats)
-	}
-}
-
-func TestPrunedMergeEmptyLocals(t *testing.T) {
-	got, stats := PrunedMerge(5, []*Heap{nil, NewHeap(5)})
-	if len(got) != 0 || stats.Considered != 0 {
-		t.Fatalf("unexpected output from empty merge: %v %+v", got, stats)
-	}
-}
-
-func TestSelectK(t *testing.T) {
-	ids := []int64{10, 20, 30, 40}
-	ds := []float32{4, 2, 3, 1}
-	got := SelectK(2, ids, ds)
-	if got[0].ID != 40 || got[1].ID != 20 {
-		t.Fatalf("SelectK = %+v", got)
-	}
-}
-
-func TestSelectKMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	SelectK(1, []int64{1}, []float32{1, 2})
-}
-
-func TestPrunedMergeProperty(t *testing.T) {
-	f := func(seed uint32) bool {
-		r := xrand.New(uint64(seed))
-		k := r.Intn(15) + 1
-		locals := buildLocals(r, r.Intn(6)+1, k, r.Intn(40))
-		locals2 := clone(locals)
-		p, _ := PrunedMerge(k, locals)
-		fm, _ := FullMerge(k, locals2)
-		if len(p) != len(fm) {
-			return false
-		}
-		for i := range p {
-			if p[i] != fm[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkHeapPush(b *testing.B) {
 	r := xrand.New(1)
 	vals := make([]float32, 4096)
 	for i := range vals {
-		vals[i] = r.Float32()
+		vals[i] = uniform32(r)
 	}
 	h := NewHeap(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Push(int64(i), vals[i&4095])
-	}
-}
-
-func BenchmarkPrunedMerge(b *testing.B) {
-	r := xrand.New(1)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		locals := buildLocals(r, 11, 100, 100)
-		b.StartTimer()
-		PrunedMerge(100, locals)
-	}
-}
-
-func BenchmarkFullMerge(b *testing.B) {
-	r := xrand.New(1)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		locals := buildLocals(r, 11, 100, 100)
-		b.StartTimer()
-		FullMerge(100, locals)
 	}
 }

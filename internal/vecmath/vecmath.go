@@ -37,30 +37,6 @@ func L2Squared(a, b []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// Dot returns the inner product of a and b. It panics if lengths differ.
-func Dot(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("vecmath: length mismatch")
-	}
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// Norm returns the Euclidean norm of a.
-func Norm(a []float32) float32 {
-	return float32(math.Sqrt(float64(Dot(a, a))))
-}
-
 // Sub stores a-b into dst and returns dst. If dst is nil or too short a new
 // slice is allocated. Panics if len(a) != len(b).
 func Sub(dst, a, b []float32) []float32 {
@@ -75,40 +51,6 @@ func Sub(dst, a, b []float32) []float32 {
 		dst[i] = a[i] - b[i]
 	}
 	return dst
-}
-
-// Add stores a+b into dst and returns dst, with the same allocation rules
-// as Sub.
-func Add(dst, a, b []float32) []float32 {
-	if len(a) != len(b) {
-		panic("vecmath: length mismatch")
-	}
-	if len(dst) < len(a) {
-		dst = make([]float32, len(a))
-	}
-	dst = dst[:len(a)]
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-	return dst
-}
-
-// Scale multiplies a in place by s and returns a.
-func Scale(a []float32, s float32) []float32 {
-	for i := range a {
-		a[i] *= s
-	}
-	return a
-}
-
-// AXPY computes y += alpha*x in place. Panics if lengths differ.
-func AXPY(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("vecmath: length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }
 
 // Matrix is a dense row-major collection of equal-length float32 vectors
@@ -151,13 +93,14 @@ func (m *Matrix) SetRow(i int, v []float32) {
 
 // ArgminL2 scans rows of m and returns the index of the row closest to q
 // in squared L2 along with that distance. Returns (-1, +Inf) for an empty
-// matrix.
+// matrix. When every distance overflows to +Inf (coordinates near the
+// float32 range), the first row wins: callers index by the result.
 func (m *Matrix) ArgminL2(q []float32) (int, float32) {
 	best := -1
 	bestD := float32(math.Inf(1))
 	for i := 0; i < m.Rows; i++ {
 		d := L2Squared(q, m.Row(i))
-		if d < bestD {
+		if best < 0 || d < bestD {
 			best, bestD = i, d
 		}
 	}

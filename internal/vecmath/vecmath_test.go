@@ -8,6 +8,9 @@ import (
 	"repro/internal/xrand"
 )
 
+// uniform32 returns a uniform float32 in [0, 1).
+func uniform32(r *xrand.RNG) float32 { return float32(r.Uint64()>>40) / (1 << 24) }
+
 func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
@@ -46,33 +49,18 @@ func TestL2SquaredPanicsOnMismatch(t *testing.T) {
 	L2Squared([]float32{1}, []float32{1, 2})
 }
 
-func TestDotKnown(t *testing.T) {
-	a := []float32{1, 2, 3, 4, 5}
-	b := []float32{5, 4, 3, 2, 1}
-	if got := Dot(a, b); got != 35 {
-		t.Fatalf("Dot = %v, want 35", got)
-	}
-}
-
-func TestNorm(t *testing.T) {
-	if got := Norm([]float32{3, 4}); got != 5 {
-		t.Fatalf("Norm = %v, want 5", got)
-	}
-}
-
 func TestSubAddRoundTrip(t *testing.T) {
 	r := xrand.New(1)
 	a := make([]float32, 33)
 	b := make([]float32, 33)
 	for i := range a {
-		a[i] = r.Float32()
-		b[i] = r.Float32()
+		a[i] = uniform32(r)
+		b[i] = uniform32(r)
 	}
 	d := Sub(nil, a, b)
-	back := Add(nil, d, b)
 	for i := range a {
-		if !almostEq(float64(back[i]), float64(a[i]), 1e-6) {
-			t.Fatalf("round trip mismatch at %d: %v vs %v", i, back[i], a[i])
+		if back := d[i] + b[i]; !almostEq(float64(back), float64(a[i]), 1e-6) {
+			t.Fatalf("round trip mismatch at %d: %v vs %v", i, back, a[i])
 		}
 	}
 }
@@ -87,19 +75,6 @@ func TestSubReusesDst(t *testing.T) {
 	}
 }
 
-func TestScaleAXPY(t *testing.T) {
-	a := []float32{1, 2, 3}
-	Scale(a, 2)
-	if a[0] != 2 || a[1] != 4 || a[2] != 6 {
-		t.Fatalf("Scale wrong: %v", a)
-	}
-	y := []float32{1, 1, 1}
-	AXPY(3, a, y)
-	if y[0] != 7 || y[1] != 13 || y[2] != 19 {
-		t.Fatalf("AXPY wrong: %v", y)
-	}
-}
-
 func TestL2IdentityProperty(t *testing.T) {
 	// |a-b|^2 == |a|^2 + |b|^2 - 2<a,b>
 	r := xrand.New(2)
@@ -109,11 +84,14 @@ func TestL2IdentityProperty(t *testing.T) {
 		a := make([]float32, n)
 		b := make([]float32, n)
 		for i := range a {
-			a[i] = rr.Float32()*2 - 1
-			b[i] = rr.Float32()*2 - 1
+			a[i] = uniform32(rr)*2 - 1
+			b[i] = uniform32(rr)*2 - 1
 		}
 		lhs := float64(L2Squared(a, b))
-		rhs := float64(Dot(a, a)) + float64(Dot(b, b)) - 2*float64(Dot(a, b))
+		var rhs float64
+		for i := range a {
+			rhs += float64(a[i])*float64(a[i]) + float64(b[i])*float64(b[i]) - 2*float64(a[i])*float64(b[i])
+		}
 		return almostEq(lhs, rhs, 1e-4)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -128,8 +106,8 @@ func TestL2SymmetryProperty(t *testing.T) {
 		a := make([]float32, n)
 		b := make([]float32, n)
 		for i := range a {
-			a[i] = rr.Float32()
-			b[i] = rr.Float32()
+			a[i] = uniform32(rr)
+			b[i] = uniform32(rr)
 		}
 		return L2Squared(a, b) == L2Squared(b, a)
 	}
@@ -169,6 +147,10 @@ func TestArgminL2(t *testing.T) {
 	if idx != 1 || d != 1 {
 		t.Fatalf("ArgminL2 = (%d, %v), want (1, 1)", idx, d)
 	}
+	// Every squared distance overflows to +Inf: a row must still win.
+	if idx, _ := m.ArgminL2([]float32{3e38, -3e38}); idx != 0 {
+		t.Fatalf("ArgminL2 with overflowing distances = %d, want 0", idx)
+	}
 }
 
 func TestArgminEmpty(t *testing.T) {
@@ -183,7 +165,7 @@ func TestTopNL2Sorted(t *testing.T) {
 	r := xrand.New(5)
 	m := NewMatrix(100, 8)
 	for i := range m.Data {
-		m.Data[i] = r.Float32()
+		m.Data[i] = uniform32(r)
 	}
 	q := make([]float32, 8)
 	ids, ds := m.TopNL2Into(nil, nil, q, 10)
@@ -217,11 +199,11 @@ func TestTopNMatchesBruteForceProperty(t *testing.T) {
 		dim := rr.Intn(8) + 1
 		m := NewMatrix(rows, dim)
 		for i := range m.Data {
-			m.Data[i] = rr.Float32()
+			m.Data[i] = uniform32(rr)
 		}
 		q := make([]float32, dim)
 		for i := range q {
-			q[i] = rr.Float32()
+			q[i] = uniform32(rr)
 		}
 		n := rr.Intn(rows) + 1
 		ids, ds := m.TopNL2Into(nil, nil, q, n)
@@ -248,8 +230,8 @@ func BenchmarkL2Squared128(b *testing.B) {
 	a := make([]float32, 128)
 	c := make([]float32, 128)
 	for i := range a {
-		a[i] = r.Float32()
-		c[i] = r.Float32()
+		a[i] = uniform32(r)
+		c[i] = uniform32(r)
 	}
 	b.ResetTimer()
 	var sink float32
@@ -263,11 +245,11 @@ func BenchmarkTopN4096x64(b *testing.B) {
 	r := xrand.New(1)
 	m := NewMatrix(4096, 64)
 	for i := range m.Data {
-		m.Data[i] = r.Float32()
+		m.Data[i] = uniform32(r)
 	}
 	q := make([]float32, 64)
 	for i := range q {
-		q[i] = r.Float32()
+		q[i] = uniform32(r)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -36,7 +36,7 @@ func TestSelectivitySweepExactFractions(t *testing.T) {
 		if got != want {
 			t.Fatalf("band %d (%s): predicate admits %d ids, want exactly %d", bi, b.Expr, got, want)
 		}
-		est := store.Estimate(b.Pred)
+		est := store.EstimateTotal(b.Pred, 0)
 		if diff := est - b.Fraction; diff > 0.01 || diff < -0.01 {
 			t.Fatalf("band %d: estimated selectivity %.4f vs target %.4f", bi, est, b.Fraction)
 		}

@@ -49,23 +49,6 @@ func ClusterFrequencies(coarse *ivf.Coarse, sample *vecmath.Matrix, nprobe int) 
 	return counts
 }
 
-// Batches splits n items into consecutive [lo, hi) ranges of at most
-// batchSize, in order.
-func Batches(n, batchSize int) [][2]int {
-	if batchSize <= 0 || n <= 0 {
-		return nil
-	}
-	var out [][2]int
-	for lo := 0; lo < n; lo += batchSize {
-		hi := lo + batchSize
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
 // AccessSkew returns max/median cluster frequency, the Fig. 4a skew
 // diagnostic.
 func AccessSkew(freqs []float64) float64 {

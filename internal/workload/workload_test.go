@@ -42,22 +42,6 @@ func TestClusterFrequenciesNilSample(t *testing.T) {
 	}
 }
 
-func TestBatches(t *testing.T) {
-	b := Batches(10, 3)
-	want := [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 10}}
-	if len(b) != len(want) {
-		t.Fatalf("batches %v", b)
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("batch %d = %v, want %v", i, b[i], want[i])
-		}
-	}
-	if Batches(0, 5) != nil || Batches(5, 0) != nil {
-		t.Fatal("degenerate batches not nil")
-	}
-}
-
 func TestAccessSkewUniform(t *testing.T) {
 	if s := AccessSkew([]float64{1, 1, 1, 1}); s != 1 {
 		t.Fatalf("uniform skew %v", s)

@@ -44,13 +44,6 @@ func New(seed uint64) *RNG {
 	return r
 }
 
-// Split returns a new generator whose stream is statistically independent
-// of r's. It is used to hand child RNGs to parallel workers without
-// sharing mutable state.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xa3ec647659359acd)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -103,11 +96,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
-}
-
 // NormFloat64 returns a standard normal variate (mean 0, stddev 1) using
 // the Box-Muller transform with caching of the second variate.
 func (r *RNG) NormFloat64() float64 {
@@ -128,27 +116,6 @@ func (r *RNG) NormFloat64() float64 {
 	r.spare = v * f
 	r.hasSpare = true
 	return u * f
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf samples from a bounded Zipf distribution over {0, ..., n-1} with

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -28,31 +27,12 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(7)
-	c1 := r.Split()
-	c2 := r.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children produced identical first output")
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
 		f := r.Float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %v", f)
-		}
-	}
-}
-
-func TestFloat32Range(t *testing.T) {
-	r := New(3)
-	for i := 0; i < 10000; i++ {
-		f := r.Float32()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of range: %v", f)
 		}
 	}
 }
@@ -111,37 +91,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestPermProperty(t *testing.T) {
-	r := New(17)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make(map[int]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(seen) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := New(19)
 	z := NewZipf(1000, 1.0)
@@ -194,20 +143,6 @@ func TestZipfSampleInRange(t *testing.T) {
 		if v := z.Sample(r); v < 0 || v >= 7 {
 			t.Fatalf("sample %d out of range", v)
 		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(31)
-	s := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), s...)
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 45 {
-		t.Fatalf("shuffle lost elements: %v (from %v)", s, orig)
 	}
 }
 
