@@ -5,7 +5,7 @@ import "testing"
 // TestKernelsExperiment checks the kernelbench harness structurally:
 // measurements exist, results are bit-identical between the fast and
 // reference paths, and every bandwidth is nonzero. The speedup gates
-// themselves (2x u16 floor, baseline ratios) run in the CI bench-smoke
+// themselves (acceptance floors, baseline ratios) run in the CI bench-smoke
 // job via Violations, where a dedicated machine-noise margin applies;
 // asserting them under `go test` on an arbitrarily loaded host would
 // make the unit suite flaky for no extra coverage.
@@ -32,8 +32,8 @@ func TestKernelsExperiment(t *testing.T) {
 	if art.Mismatches != 0 {
 		t.Fatalf("%d fast/reference mismatches", art.Mismatches)
 	}
-	if len(art.Points) != 4 {
-		t.Fatalf("%d kernel points, want 4", len(art.Points))
+	if len(art.Points) != 6 {
+		t.Fatalf("%d kernel points, want 6", len(art.Points))
 	}
 	for _, p := range art.Points {
 		if p.RefGBps <= 0 || p.FastGBps <= 0 {

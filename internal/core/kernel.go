@@ -198,7 +198,12 @@ func (e *Engine) loadResidual(t *pim.Tasklet, rt *dpuRuntime, inputOff int) {
 func (e *Engine) buildLUT(t *pim.Tasklet, wram []byte, resid []float32, m, dsub, ksub int, scale float32, staging int) {
 	w := e.wram
 	spec := e.Sys.Spec
-	var entry [64]float32
+	// Entries are decoded lutGroup at a time and their distances taken
+	// in one vecmath.L2Rows call, the same bits as one L2Squared per
+	// entry; the simulated cost is still charged entry by entry.
+	const lutGroup = 16
+	var entries [lutGroup * 64]float32
+	var dists [lutGroup]float32
 	subBytes := ksub * dsub * 4 // one subspace's codebook block
 	// Chunks must respect both the 8-byte DMA alignment and whole-entry
 	// boundaries; their lcm always divides subBytes (256 entries).
@@ -216,14 +221,20 @@ func (e *Engine) buildLUT(t *pim.Tasklet, wram []byte, resid []float32, m, dsub,
 				chunk = perChunk
 			}
 			t.MRAMRead(staging, cbBase+off, chunk)
-			for p := 0; p+entryBytes <= chunk; p += entryBytes {
-				for d := 0; d < dsub; d++ {
-					entry[d] = math.Float32frombits(binary.LittleEndian.Uint32(wram[staging+p+4*d:]))
+			for p := 0; p+entryBytes <= chunk; {
+				n := 0
+				for ; n < lutGroup && p+entryBytes <= chunk; n++ {
+					for d := 0; d < dsub; d++ {
+						entries[n*dsub+d] = math.Float32frombits(binary.LittleEndian.Uint32(wram[staging+p+4*d:]))
+					}
+					p += entryBytes
 				}
-				dist := vecmath.L2Squared(rsub, entry[:dsub])
-				binary.LittleEndian.PutUint16(wram[lutBase+2*j:], pq.QuantizeEntry(dist, scale))
-				t.Exec(costLUTPerDim*dsub + costLUTStore)
-				j++
+				vecmath.L2Rows(dists[:n], rsub, entries[:n*dsub])
+				for _, dist := range dists[:n] {
+					binary.LittleEndian.PutUint16(wram[lutBase+2*j:], pq.QuantizeEntry(dist, scale))
+					t.Exec(costLUTPerDim*dsub + costLUTStore)
+					j++
+				}
 			}
 		}
 	}

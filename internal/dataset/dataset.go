@@ -181,10 +181,14 @@ func GroundTruth(base, queries *vecmath.Matrix, k int) [][]topk.Candidate {
 			for qi := lo; qi < hi; qi++ {
 				q := queries.Row(qi)
 				h := topk.NewHeap(k)
-				for i := 0; i < base.Rows; i++ {
-					d := vecmath.L2Squared(q, base.Row(i))
-					if h.WouldAccept(d) {
-						h.Push(int64(i), d)
+				var block [64]float32
+				for b := 0; b < base.Rows; b += len(block) {
+					ds := block[:min(len(block), base.Rows-b)]
+					vecmath.L2Rows(ds, q, base.Data[b*base.Dim:])
+					for j, d := range ds {
+						if h.WouldAccept(d) {
+							h.Push(int64(b+j), d)
+						}
 					}
 				}
 				out[qi] = h.Sorted()

@@ -2,7 +2,12 @@ package ivfpq
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
+
+	"repro/internal/vecmath"
+	"repro/internal/xrand"
 )
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -278,5 +283,35 @@ func TestImageRejectsOutOfRangeReads(t *testing.T) {
 	}
 	if _, err := im.ReadIDs(make([]int64, 1), nil, int32(im.NList()), 0); err == nil {
 		t.Error("no error for out-of-range cluster")
+	}
+}
+
+// buildWallSHA256 is the SHA-256 of WriteTo for the fixed-seed build in
+// TestBuildBitIdentical. It was computed with the scalar L2Squared loop
+// before any SIMD kernel existed; a kernel that changes one bit of a
+// centroid, codebook, assignment or code changes it.
+const buildWallSHA256 = "39fc2db9fa660c715b3b1d01a416046426789ac9e220eac49533075bda70e57c"
+
+// TestBuildBitIdentical is the build regression wall: a fixed-seed
+// 4000 x 128 build (IVF64, M 16, KSub 256) — coarse k-means, PQ k-means
+// on dsub-8 residuals, the QScale estimate, and Add's assignment and
+// encoding — must serialize to the same bytes as the pinned scalar
+// build. The data is integer-derived and every value is exact in
+// float32, so the input does not depend on the platform's math library.
+func TestBuildBitIdentical(t *testing.T) {
+	const rows, dim = 4000, 128
+	r := xrand.New(40)
+	data := vecmath.NewMatrix(rows, dim)
+	for i := range data.Data {
+		data.Data[i] = float32(int32(r.Uint32()>>8)-1<<23) / (1 << 23)
+	}
+	ix := Train(data, Params{NList: 64, M: 16, Seed: 40})
+	ix.Add(data, 0)
+	h := sha256.New()
+	if _, err := ix.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != buildWallSHA256 {
+		t.Fatalf("build bytes changed: sha256 %s, pinned %s", got, buildWallSHA256)
 	}
 }

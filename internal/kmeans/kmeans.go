@@ -105,13 +105,17 @@ func initPlusPlus(data *vecmath.Matrix, k int, rng *xrand.RNG) *vecmath.Matrix {
 	first := rng.Intn(data.Rows)
 	cents.SetRow(0, data.Row(first))
 
-	// minDist[i] = squared distance of point i to its nearest chosen centroid.
+	// minDist[i] = squared distance of point i to its nearest chosen
+	// centroid. dists holds one centroid's distances to every point, from
+	// the row-block kernel; a-b and b-a square to the same bits, so it
+	// reads the centroid as the query.
 	minDist := make([]float64, data.Rows)
+	dists := make([]float32, data.Rows)
+	vecmath.L2Rows(dists, cents.Row(0), data.Data)
 	total := 0.0
-	for i := 0; i < data.Rows; i++ {
-		d := float64(vecmath.L2Squared(data.Row(i), cents.Row(0)))
-		minDist[i] = d
-		total += d
+	for i, d := range dists {
+		minDist[i] = float64(d)
+		total += float64(d)
 	}
 	for c := 1; c < k; c++ {
 		var idx int
@@ -133,10 +137,9 @@ func initPlusPlus(data *vecmath.Matrix, k int, rng *xrand.RNG) *vecmath.Matrix {
 		cents.SetRow(c, data.Row(idx))
 		// Update nearest-centroid distances.
 		newTotal := 0.0
-		cRow := cents.Row(c)
-		for i := 0; i < data.Rows; i++ {
-			d := float64(vecmath.L2Squared(data.Row(i), cRow))
-			if d < minDist[i] {
+		vecmath.L2Rows(dists, cents.Row(c), data.Data)
+		for i, d32 := range dists {
+			if d := float64(d32); d < minDist[i] {
 				minDist[i] = d
 			}
 			newTotal += minDist[i]

@@ -96,14 +96,7 @@ func (q *Quantizer) Encode(dst []uint8, vec []float32) []uint8 {
 	var buf [CodebookSize]float32
 	row := buf[:q.KSub]
 	for mi := 0; mi < q.M; mi++ {
-		sv := vec[mi*q.Dsub : (mi+1)*q.Dsub]
-		if q.Dsub == 8 {
-			lutRow8(row, (*[8]float32)(sv), q.subspace(mi))
-		} else {
-			for j := range row {
-				row[j] = vecmath.L2Squared(sv, q.CodebookEntry(mi, j))
-			}
-		}
+		vecmath.L2Rows(row, vec[mi*q.Dsub:(mi+1)*q.Dsub], q.subspace(mi))
 		// First argmin: ties keep the lowest code.
 		best, bestD := 0, row[0]
 		for j, d := range row {
@@ -146,23 +139,20 @@ type LUT []float32
 // Rows keep the 256 stride and only their first KSub entries are
 // written: entries past KSub keep whatever the table held (zero for a
 // fresh one) and are never referenced, since codes are < KSub by
-// construction. At dsub 8 — SIFT's D 128 / M 16 — each row comes from
-// the lutRow8 kernel; other shapes run BuildLUTReference. Both produce
-// bit-identical tables.
+// construction. Each row is one vecmath.L2Rows call over the subspace's
+// codebook block — on amd64 the SSE row kernel whenever dsub is a
+// multiple of 4, as at SIFT's D 128 / M 16 — so the table is
+// bit-identical to BuildLUTReference's.
 func (q *Quantizer) BuildLUTInto(lut LUT, vec []float32) {
 	q.checkLUT(lut, vec)
-	if q.Dsub != 8 {
-		q.BuildLUTReference(lut, vec)
-		return
-	}
 	for mi := 0; mi < q.M; mi++ {
-		lutRow8(lut[mi*CodebookSize:mi*CodebookSize+q.KSub], (*[8]float32)(vec[mi*8:]), q.subspace(mi))
+		vecmath.L2Rows(lut[mi*CodebookSize:mi*CodebookSize+q.KSub], vec[mi*q.Dsub:(mi+1)*q.Dsub], q.subspace(mi))
 	}
 }
 
 // BuildLUTReference is the retained scalar LUT construction: one
-// vecmath.L2Squared call per (subspace, entry). It is the reference the
-// dsub-8 kernel is pinned to, the way ADCDistance is for ScanDists, and
+// vecmath.L2Squared call per (subspace, entry). It is the reference
+// BuildLUTInto is pinned to, the way ADCDistance is for ScanDists, and
 // what ivfpq.SearchReference builds its tables with.
 func (q *Quantizer) BuildLUTReference(lut LUT, vec []float32) {
 	q.checkLUT(lut, vec)
@@ -181,26 +171,6 @@ func (q *Quantizer) checkLUT(lut LUT, vec []float32) {
 	}
 	if len(lut) != q.M*CodebookSize {
 		panic("pq: LUT length mismatch")
-	}
-}
-
-// lutRow8 is the dsub-8 LUT row kernel: row[j] = ‖sv − entry j‖² for
-// the entries of cb, one subspace's KSub x 8 codebook block (len(cb) ==
-// 8*len(row)). The query and each entry are read through *[8]float32
-// array pointers, so the loop carries no call and no bounds checks. It
-// is vecmath.L2Squared unrolled for length 8 — the same differences,
-// every product rounded by an explicit float32 conversion, summed in
-// L2Squared's order (((d0²+d4²)+(d1²+d5²))+(d2²+d6²))+(d3²+d7²) — so its
-// entries are bit-identical to BuildLUTReference's.
-func lutRow8(row []float32, sv *[8]float32, cb []float32) {
-	q0, q1, q2, q3, q4, q5, q6, q7 := sv[0], sv[1], sv[2], sv[3], sv[4], sv[5], sv[6], sv[7]
-	for j := 0; j < len(row) && len(cb) >= 8; j++ {
-		e := (*[8]float32)(cb)
-		cb = cb[8:]
-		d0, d1, d2, d3 := q0-e[0], q1-e[1], q2-e[2], q3-e[3]
-		d4, d5, d6, d7 := q4-e[4], q5-e[5], q6-e[6], q7-e[7]
-		row[j] = (((float32(d0*d0) + float32(d4*d4)) + (float32(d1*d1) + float32(d5*d5))) +
-			(float32(d2*d2) + float32(d6*d6))) + (float32(d3*d3) + float32(d7*d7))
 	}
 }
 

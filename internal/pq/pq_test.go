@@ -284,9 +284,9 @@ func checkLUTMatchesReference(t *testing.T, label string, q *Quantizer, vec []fl
 	}
 }
 
-// TestBuildLUTMatchesReference pins BuildLUTInto — the dsub-8 row kernel
-// and the dispatch around it — to the scalar BuildLUTReference bit for
-// bit, float and uint16 tables alike, across subspace widths, codebook
+// TestBuildLUTMatchesReference pins BuildLUTInto — vecmath's row kernel
+// where dsub is a multiple of 4, its scalar fallback elsewhere — to the
+// per-entry BuildLUTReference bit for bit, float and uint16 tables alike, across subspace widths, codebook
 // sizes and query magnitudes from 1e-4 to 1e4. The third scale
 // saturates part of every table at 65535.
 func TestBuildLUTMatchesReference(t *testing.T) {

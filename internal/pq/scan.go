@@ -27,14 +27,16 @@ package pq
 // order), so float distances are bit-identical across paths. Integer
 // (uint16 LUT) sums are order-independent and exact by construction.
 //
-// LUT construction is held to the same standard: BuildLUTInto's dsub-8
-// row kernel sums squared differences in vecmath.L2Squared's order, so
-// its tables equal BuildLUTReference's bit for bit. That also needs one
-// portability rule: every float product on these paths is spelled
-// float32(x*y). The Go spec lets a compiler fuse x*y+z into one FMA —
-// arm64 does — and an explicit conversion is the only thing that
-// forbids it, so without it bit-identity would depend on GOARCH.
-// scripts/check_fma.sh reads the arm64 assembly to enforce the rule.
+// LUT construction is held to the same standard: BuildLUTInto fills
+// each row with vecmath.L2Rows, which meets L2Squared's summation
+// contract lane for lane, so its tables equal BuildLUTReference's bit
+// for bit. That also needs one portability rule: no float product on
+// these paths may be fused into an FMA. The Go code spells every one
+// float32(x*y) — the Go spec lets a compiler fuse x*y+z, arm64 does, and
+// an explicit conversion is the only thing that forbids it — and the
+// assembly kernel multiplies and adds in separate instructions.
+// scripts/check_fma.sh reads the arm64 assembly and the .s files to
+// enforce the rule.
 
 // ScanBlock is the number of vectors callers should scan per kernel call:
 // the dists accumulator (1–2 KB) then stays L1-resident alongside the LUT.

@@ -6,8 +6,8 @@ import (
 	"repro/internal/ivfpq"
 )
 
-// RAMSource serves an index's in-RAM posting lists — the resident tier.
-// The lists must not be mutated while the source serves them (the same
+// RAMSource serves an index's in-RAM posting lists through the same
+// ReadInto path as an image, without file I/O. The lists must not be mutated while the source serves them (the same
 // immutability epoch snapshots already guarantee).
 type RAMSource struct {
 	lists  []ivfpq.List
@@ -45,10 +45,4 @@ func (s *RAMSource) ReadInto(ids []int64, codes []uint8, c int32, base int) erro
 	copy(ids, l.IDs[base:base+n])
 	copy(codes, l.Codes[base*s.m:(base+n)*s.m])
 	return nil
-}
-
-// Resident returns the cluster's slices directly — always ok.
-func (s *RAMSource) Resident(c int32) ([]int64, []uint8, bool) {
-	l := &s.lists[c]
-	return l.IDs, l.Codes, true
 }

@@ -22,11 +22,6 @@ type ClusterSource interface {
 	// ReadInto fills ids and codes with cluster c's vectors
 	// [base, base+len(ids)); len(codes) must be len(ids)*M().
 	ReadInto(ids []int64, codes []uint8, c int32, base int) error
-	// Resident returns zero-copy views of cluster c's payload when it is
-	// already memory-resident (the RAM tier); streaming sources return
-	// ok == false and callers go through the store's hot set or cold
-	// path instead.
-	Resident(c int32) (ids []int64, codes []uint8, ok bool)
 }
 
 // ImageSource serves a cluster image opened with ivfpq.OpenImage — the
@@ -70,6 +65,3 @@ func (s *ImageSource) ReadInto(ids []int64, codes []uint8, c int32, base int) er
 	}
 	return s.img.ReadCodes(codes, c, base)
 }
-
-// Resident always reports false: image payloads are never resident.
-func (s *ImageSource) Resident(int32) ([]int64, []uint8, bool) { return nil, nil, false }

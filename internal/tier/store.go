@@ -179,9 +179,6 @@ func (s *Store) Prefetch(probes []int32) {
 		if s.hot[c].Load() != nil {
 			continue
 		}
-		if _, _, ok := s.src.Resident(c); ok {
-			continue
-		}
 		s.warmMu.Lock()
 		if s.closed {
 			s.warmMu.Unlock()
@@ -244,8 +241,7 @@ func (s *Store) claimWarm(c int32) (*warmEntry, bool) {
 }
 
 // acquire returns cluster c's payload if it can be served from memory:
-// the pinned hot set, a source-resident slab, or a prefetch that is
-// finished or in flight. ok == false means the caller must stream the
+// the pinned hot set, or a prefetch that is finished or in flight. ok == false means the caller must stream the
 // cluster cold — including when it overtook a prefetch no worker had
 // started, which counts as a miss.
 func (s *Store) acquire(c int32) (ids []int64, codes []uint8, ok bool) {
@@ -253,11 +249,6 @@ func (s *Store) acquire(c int32) (ids []int64, codes []uint8, ok bool) {
 		s.hotHits.Add(1)
 		obs.Tier.RecordAccess(true)
 		return sl.ids, sl.codes, true
-	}
-	if ids, codes, ok := s.src.Resident(c); ok {
-		s.hotHits.Add(1)
-		obs.Tier.RecordAccess(true)
-		return ids, codes, true
 	}
 	if e, claimed := s.claimWarm(c); claimed && e.err == nil {
 		lead := time.Since(e.readyAt)
@@ -342,9 +333,6 @@ func (s *Store) Rebalance() {
 	freqs := make([]float64, nc)
 	for i := 0; i < nc; i++ {
 		c := int32(i)
-		if _, _, ok := s.src.Resident(c); ok {
-			continue // already served from RAM; pinning would double it
-		}
 		sizes[i] = int64(s.src.Len(c)) * int64(8+s.m)
 		freqs[i] = float64(s.freq[i].Load())
 	}
@@ -421,7 +409,7 @@ type chunk struct {
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // ScanCluster feeds cluster c's payload to fn: in one call when the
-// cluster is resident — hot set, source-resident, prefetched — and
+// cluster is resident — hot set or prefetched — and
 // otherwise streamed from the source through a pooled buffer in cold
 // reads of up to rows rows. It is the one streaming loop: searches feed the ADC
 // scanner through it a pq.ScanBlock at a time, and compaction folds a

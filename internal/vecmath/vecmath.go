@@ -1,23 +1,52 @@
 // Package vecmath implements the dense float32 vector primitives used by
-// every index and backend in the repository: squared L2 distance, inner
-// product, residual computation, and batched argmin scans. Hot loops are
-// written with 4-way manual unrolling, which the Go compiler turns into
-// reasonable straight-line code without cgo or assembly.
+// every index and backend in the repository: squared L2 distance,
+// residual computation, and batched argmin scans.
+//
+// Squared L2 has one summation contract: four lane accumulators s0..s3,
+// where element i adds to lane i%4 (tail elements past the last full
+// group of four add to s0), every product rounded to float32 before it
+// is added, and the lanes summed as ((s0+s1)+s2)+s3. l2Ref spells it in
+// Go. On amd64 the SSE assembly kernel in l2_amd64.s holds the four
+// lanes in one XMM register and computes four rows per pass; it returns
+// l2Ref's bits (a NaN where l2Ref returns a NaN: Go pins no NaN
+// payload), so every distance, argmin, trained centroid and PQ code is
+// the same on every GOARCH. Other GOARCHes, and dimensions that are not
+// a multiple of 4, run l2Ref.
 package vecmath
 
 import "math"
 
 // L2Squared returns the squared Euclidean distance between a and b.
 // It panics if the lengths differ.
+func L2Squared(a, b []float32) float32 {
+	if len(a) != len(b) {
+		panic("vecmath: length mismatch")
+	}
+	if len(a) < 16 {
+		// Below 16 floats the call into the kernel costs more than
+		// the loop it replaces; the bits are the same either way.
+		return l2Ref(a, b)
+	}
+	var d [1]float32
+	l2Rows(d[:], a, b)
+	return d[0]
+}
+
+// L2Rows sets dst[i] to L2Squared(q, row i), bit for bit, for the
+// len(dst) consecutive rows of len(q) floats at the start of rows. It
+// panics if rows is shorter than len(dst)*len(q).
+func L2Rows(dst, q, rows []float32) {
+	l2Rows(dst, q, rows[:len(dst)*len(q)])
+}
+
+// l2Ref is the scalar reference for the summation contract in the
+// package comment, and what L2Squared runs where no kernel applies.
 //
 // Every product is rounded by an explicit float32 conversion. The Go
 // spec lets a compiler fuse x*y+z into one FMA (arm64 does), and the
 // conversion forbids that, so the result — and every LUT built from it —
 // is the same on every GOARCH. pq's dsub-8 LUT kernel relies on this.
-func L2Squared(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("vecmath: length mismatch")
-	}
+func l2Ref(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -35,6 +64,16 @@ func L2Squared(a, b []float32) float32 {
 		s0 += float32(d * d)
 	}
 	return s0 + s1 + s2 + s3
+}
+
+// L2RowsReference is L2Rows computed by the scalar reference, one l2Ref
+// call per row: what the kernel is pinned to, kept exported so the
+// kernels benchmark can time the two against each other.
+func L2RowsReference(dst, q, rows []float32) {
+	d := len(q)
+	for i := range dst {
+		dst[i] = l2Ref(q, rows[i*d:(i+1)*d])
+	}
 }
 
 // Sub stores a-b into dst and returns dst. If dst is nil or too short a new
@@ -91,17 +130,34 @@ func (m *Matrix) SetRow(i int, v []float32) {
 	copy(m.Row(i), v)
 }
 
+// blockRows is how many distances ArgminL2 and TopNL2Into compute per
+// kernel call into a stack block before selecting from it.
+const blockRows = 64
+
 // ArgminL2 scans rows of m and returns the index of the row closest to q
-// in squared L2 along with that distance. Returns (-1, +Inf) for an empty
-// matrix. When every distance overflows to +Inf (coordinates near the
-// float32 range), the first row wins: callers index by the result.
+// in squared L2 along with that distance. Ties go to the lowest index.
+// Returns (-1, +Inf) for an empty matrix. When every distance overflows
+// to +Inf (coordinates near the float32 range), the first row wins:
+// callers index by the result. A NaN distance never displaces an earlier
+// row; a NaN in row 0 is never displaced. Panics if len(q) != Dim on a
+// non-empty matrix.
 func (m *Matrix) ArgminL2(q []float32) (int, float32) {
-	best := -1
-	bestD := float32(math.Inf(1))
-	for i := 0; i < m.Rows; i++ {
-		d := L2Squared(q, m.Row(i))
-		if best < 0 || d < bestD {
-			best, bestD = i, d
+	if m.Rows == 0 {
+		return -1, float32(math.Inf(1))
+	}
+	if len(q) != m.Dim {
+		panic("vecmath: length mismatch")
+	}
+	var block [blockRows]float32
+	best, bestD := 0, float32(0)
+	for lo := 0; lo < m.Rows; lo += blockRows {
+		ds := block[:min(blockRows, m.Rows-lo)]
+		l2Rows(ds, q, m.Data[lo*m.Dim:(lo+len(ds))*m.Dim])
+		if lo == 0 {
+			bestD = ds[0]
+		}
+		if i := argminBelow(ds, bestD); i >= 0 {
+			best, bestD = lo+i, ds[i]
 		}
 	}
 	return best, bestD
@@ -112,13 +168,18 @@ func (m *Matrix) ArgminL2(q []float32) (int, float32) {
 // backing: ids and ds (either may be nil) are truncated and reused when
 // their capacity covers n (no allocation), and grown otherwise. n is
 // clamped to Rows; the returned slices share backing with the inputs when
-// capacity sufficed.
+// capacity sufficed. A row must be strictly closer than the current n-th
+// to enter, so among equal distances the lowest indices are kept; within
+// a tie a later row sorts ahead of an earlier one.
 func (m *Matrix) TopNL2Into(ids []int32, ds []float32, q []float32, n int) ([]int32, []float32) {
 	if n > m.Rows {
 		n = m.Rows
 	}
 	if n <= 0 {
 		return nil, nil
+	}
+	if len(q) != m.Dim {
+		panic("vecmath: length mismatch")
 	}
 	if cap(ids) < n {
 		ids = make([]int32, 0, n)
@@ -130,29 +191,33 @@ func (m *Matrix) TopNL2Into(ids []int32, ds []float32, q []float32, n int) ([]in
 	// cluster filtering (nprobe << |C|) this beats a heap in practice.
 	ids = ids[:0]
 	ds = ds[:0]
-	for i := 0; i < m.Rows; i++ {
-		d := L2Squared(q, m.Row(i))
-		if len(ds) == n && d >= ds[n-1] {
-			continue
-		}
-		// Find insertion point.
-		lo, hi := 0, len(ds)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ds[mid] < d {
-				lo = mid + 1
-			} else {
-				hi = mid
+	var block [blockRows]float32
+	for lo := 0; lo < m.Rows; lo += blockRows {
+		blk := block[:min(blockRows, m.Rows-lo)]
+		l2Rows(blk, q, m.Data[lo*m.Dim:(lo+len(blk))*m.Dim])
+		for j, d := range blk {
+			if len(ds) == n && d >= ds[n-1] {
+				continue
 			}
+			// Find insertion point.
+			at, hi := 0, len(ds)
+			for at < hi {
+				mid := (at + hi) / 2
+				if ds[mid] < d {
+					at = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if len(ds) < n {
+				ids = append(ids, 0)
+				ds = append(ds, 0)
+			}
+			copy(ids[at+1:], ids[at:])
+			copy(ds[at+1:], ds[at:])
+			ids[at] = int32(lo + j)
+			ds[at] = d
 		}
-		if len(ds) < n {
-			ids = append(ids, 0)
-			ds = append(ds, 0)
-		}
-		copy(ids[lo+1:], ids[lo:])
-		copy(ds[lo+1:], ds[lo:])
-		ids[lo] = int32(i)
-		ds[lo] = d
 	}
 	return ids, ds
 }

@@ -151,6 +151,170 @@ func TestArgminL2(t *testing.T) {
 	if idx, _ := m.ArgminL2([]float32{3e38, -3e38}); idx != 0 {
 		t.Fatalf("ArgminL2 with overflowing distances = %d, want 0", idx)
 	}
+	// Duplicated rows: the lowest index wins, in any block.
+	dup := NewMatrix(200, 4)
+	for i := 0; i < dup.Rows; i++ {
+		dup.SetRow(i, []float32{float32(i % 7), 1, 2, 3})
+	}
+	if idx, d := dup.ArgminL2([]float32{0, 1, 2, 3}); idx != 0 || d != 0 {
+		t.Fatalf("ArgminL2 over duplicates = (%d, %v), want (0, 0)", idx, d)
+	}
+	if idx, _ := dup.ArgminL2([]float32{6, 1, 2, 3}); idx != 6 {
+		t.Fatalf("ArgminL2 over duplicates = %d, want 6", idx)
+	}
+	// A dimension mismatch still panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on query length mismatch")
+		}
+	}()
+	m.ArgminL2([]float32{0, 0, 0})
+}
+
+// argminOld and topNOld are ArgminL2 and TopNL2Into as they were before
+// the row-block kernel: one L2Squared call and one comparison per row.
+// The block paths must agree with them on every input, NaNs included.
+func argminOld(m *Matrix, q []float32) (int, float32) {
+	best := -1
+	bestD := float32(math.Inf(1))
+	for i := 0; i < m.Rows; i++ {
+		d := l2Ref(q, m.Row(i))
+		if best < 0 || d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best, bestD
+}
+
+func topNOld(m *Matrix, q []float32, n int) ([]int32, []float32) {
+	var ids []int32
+	var ds []float32
+	for i := 0; i < m.Rows; i++ {
+		d := l2Ref(q, m.Row(i))
+		if len(ds) == n && d >= ds[n-1] {
+			continue
+		}
+		lo, hi := 0, len(ds)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if ds[mid] < d {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if len(ds) < n {
+			ids = append(ids, 0)
+			ds = append(ds, 0)
+		}
+		copy(ids[lo+1:], ids[lo:])
+		copy(ds[lo+1:], ds[lo:])
+		ids[lo] = int32(i)
+		ds[lo] = d
+	}
+	return ids, ds
+}
+
+// randomL2Matrix draws a rows x dim matrix whose rows are sometimes
+// duplicated, sometimes all +Inf away from the origin, and sometimes
+// NaN, so ties, overflow and NaN rows all reach the selection.
+func randomL2Matrix(r *xrand.RNG, rows, dim int) *Matrix {
+	m := NewMatrix(rows, dim)
+	for i := 0; i < rows; i++ {
+		row := m.Row(i)
+		switch r.Intn(8) {
+		case 0:
+			if i > 0 {
+				copy(row, m.Row(r.Intn(i)))
+				continue
+			}
+		case 1:
+			for j := range row {
+				row[j] = 3e38
+			}
+			continue
+		case 2:
+			row[r.Intn(dim)] = float32(math.NaN())
+		}
+		for j := range row {
+			if row[j] == 0 {
+				row[j] = float32(r.Intn(4))
+			}
+		}
+	}
+	return m
+}
+
+func TestArgminL2MatchesOldLoop(t *testing.T) {
+	r := xrand.New(7)
+	for trial := 0; trial < 400; trial++ {
+		rows, dim := 1+r.Intn(200), []int{1, 3, 4, 8, 12}[r.Intn(5)]
+		m := randomL2Matrix(r, rows, dim)
+		q := make([]float32, dim)
+		switch trial % 4 {
+		case 1:
+			q[0] = -3e38 // every distance overflows to +Inf
+		case 2:
+			q[0] = float32(math.NaN())
+		default:
+			copy(q, m.Row(r.Intn(rows)))
+		}
+		gi, gd := m.ArgminL2(q)
+		wi, wd := argminOld(m, q)
+		if gi != wi || !sameBits(gd, wd) {
+			t.Fatalf("trial %d (%dx%d): ArgminL2 = (%d, %v), old loop (%d, %v)", trial, rows, dim, gi, gd, wi, wd)
+		}
+	}
+}
+
+func TestTopNL2MatchesOldLoop(t *testing.T) {
+	r := xrand.New(8)
+	for trial := 0; trial < 400; trial++ {
+		rows, dim := 1+r.Intn(200), []int{1, 3, 4, 8, 12}[r.Intn(5)]
+		m := randomL2Matrix(r, rows, dim)
+		q := make([]float32, dim)
+		if trial%3 == 1 {
+			q[0] = -3e38
+		} else {
+			copy(q, m.Row(r.Intn(rows)))
+		}
+		n := 1 + r.Intn(rows)
+		gi, gd := m.TopNL2Into(nil, nil, q, n)
+		wi, wd := topNOld(m, q, n)
+		if len(gi) != len(wi) {
+			t.Fatalf("trial %d: %d results, old loop %d", trial, len(gi), len(wi))
+		}
+		for i := range gi {
+			if gi[i] != wi[i] || !sameBits(gd[i], wd[i]) {
+				t.Fatalf("trial %d (%dx%d, n %d) rank %d: (%d, %v), old loop (%d, %v)",
+					trial, rows, dim, n, i, gi[i], gd[i], wi[i], wd[i])
+			}
+		}
+	}
+}
+
+func TestTopNL2Edges(t *testing.T) {
+	// Duplicates keep the lowest indices (a later row must be strictly
+	// closer to enter), a later one sorting first within the tie, as the
+	// per-row loop always did; all +Inf keeps rows 0 and 1 the same way.
+	m := NewMatrix(130, 4)
+	for i := 0; i < m.Rows; i++ {
+		m.SetRow(i, []float32{float32(i % 2), 0, 0, 0})
+	}
+	ids, _ := m.TopNL2Into(nil, nil, []float32{0, 0, 0, 0}, 3)
+	if ids[0] != 4 || ids[1] != 2 || ids[2] != 0 {
+		t.Fatalf("TopNL2 over duplicates = %v, want [4 2 0]", ids)
+	}
+	ids, ds := m.TopNL2Into(nil, nil, []float32{-3e38, 0, 0, 0}, 2)
+	if ids[0] != 1 || ids[1] != 0 || !math.IsInf(float64(ds[0]), 1) {
+		t.Fatalf("TopNL2 over +Inf distances = %v %v, want [1 0]", ids, ds)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on query length mismatch")
+		}
+	}()
+	m.TopNL2Into(nil, nil, []float32{0, 0}, 2)
 }
 
 func TestArgminEmpty(t *testing.T) {
@@ -225,34 +389,17 @@ func TestTopNMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkL2Squared128(b *testing.B) {
-	r := xrand.New(1)
-	a := make([]float32, 128)
-	c := make([]float32, 128)
-	for i := range a {
-		a[i] = uniform32(r)
-		c[i] = uniform32(r)
+// TestBlockScansAllocateNothing: the distance block lives on the stack,
+// so ArgminL2, and TopNL2Into with caller backing, allocate nothing.
+func TestBlockScansAllocateNothing(t *testing.T) {
+	r := xrand.New(9)
+	m := randomL2Matrix(r, 300, 8)
+	q := make([]float32, 8)
+	ids, ds := make([]int32, 0, 10), make([]float32, 0, 10)
+	if n := testing.AllocsPerRun(50, func() { m.ArgminL2(q) }); n != 0 {
+		t.Fatalf("ArgminL2 allocates %v per call", n)
 	}
-	b.ResetTimer()
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		sink = L2Squared(a, c)
-	}
-	_ = sink
-}
-
-func BenchmarkTopN4096x64(b *testing.B) {
-	r := xrand.New(1)
-	m := NewMatrix(4096, 64)
-	for i := range m.Data {
-		m.Data[i] = uniform32(r)
-	}
-	q := make([]float32, 64)
-	for i := range q {
-		q[i] = uniform32(r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TopNL2Into(nil, nil, q, 32)
+	if n := testing.AllocsPerRun(50, func() { m.TopNL2Into(ids, ds, q, 10) }); n != 0 {
+		t.Fatalf("TopNL2Into allocates %v per call", n)
 	}
 }
