@@ -161,8 +161,11 @@ func (ds *Dataset) Queries(nq int, seed uint64) *vecmath.Matrix {
 }
 
 // GroundTruth computes the exact k nearest base vectors for every query by
-// parallel brute force.
+// parallel brute force. It panics if the query and base dimensions differ.
 func GroundTruth(base, queries *vecmath.Matrix, k int) [][]topk.Candidate {
+	if queries.Dim != base.Dim {
+		panic("dataset: GroundTruth dimension mismatch")
+	}
 	out := make([][]topk.Candidate, queries.Rows)
 	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
@@ -184,7 +187,7 @@ func GroundTruth(base, queries *vecmath.Matrix, k int) [][]topk.Candidate {
 				var block [64]float32
 				for b := 0; b < base.Rows; b += len(block) {
 					ds := block[:min(len(block), base.Rows-b)]
-					vecmath.L2Rows(ds, q, base.Data[b*base.Dim:])
+					vecmath.L2Rows(ds, q, base.Data[b*base.Dim:(b+len(ds))*base.Dim])
 					for j, d := range ds {
 						if h.WouldAccept(d) {
 							h.Push(int64(b+j), d)

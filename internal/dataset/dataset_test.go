@@ -83,6 +83,19 @@ func max(a, b int) int {
 	return b
 }
 
+// TestGroundTruthPanicsOnDimMismatch: a query of another dimension must
+// not be scanned against misaligned base rows.
+func TestGroundTruthPanicsOnDimMismatch(t *testing.T) {
+	base := vecmath.NewMatrix(300, 8)
+	queries := vecmath.NewMatrix(2, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("GroundTruth accepted 4-d queries against an 8-d base")
+		}
+	}()
+	GroundTruth(base, queries, 5)
+}
+
 func TestGroundTruthMatchesNaive(t *testing.T) {
 	r := xrand.New(5)
 	base := vecmath.NewMatrix(300, 8)

@@ -45,7 +45,8 @@ func L2Rows(dst, q, rows []float32) {
 // Every product is rounded by an explicit float32 conversion. The Go
 // spec lets a compiler fuse x*y+z into one FMA (arm64 does), and the
 // conversion forbids that, so the result — and every LUT built from it —
-// is the same on every GOARCH. pq's dsub-8 LUT kernel relies on this.
+// is the same on every GOARCH. The SSE kernel, and pq's BuildLUTInto
+// and Encode on L2Rows, rely on this.
 func l2Ref(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	i := 0

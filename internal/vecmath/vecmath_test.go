@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -403,3 +404,46 @@ func TestBlockScansAllocateNothing(t *testing.T) {
 		t.Fatalf("TopNL2Into allocates %v per call", n)
 	}
 }
+
+func BenchmarkTopN4096x64(b *testing.B) {
+	r := xrand.New(1)
+	m := NewMatrix(4096, 64)
+	for i := range m.Data {
+		m.Data[i] = uniform32(r)
+	}
+	q := make([]float32, 64)
+	for i := range q {
+		q[i] = uniform32(r)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TopNL2Into(nil, nil, q, 32)
+	}
+}
+
+// BenchmarkArgminL2 times the block fill plus the first-minimum
+// selection at the index build's two shapes: PQ training (256
+// codewords of dsub 8) and coarse training (1024 centroids of dim 128).
+func BenchmarkArgminL2(b *testing.B) {
+	for _, shape := range []struct{ rows, dim int }{{256, 8}, {1024, 128}} {
+		r := xrand.New(1)
+		m := NewMatrix(shape.rows, shape.dim)
+		for i := range m.Data {
+			m.Data[i] = uniform32(r)
+		}
+		qs := make([][]float32, 64)
+		for i := range qs {
+			qs[i] = make([]float32, shape.dim)
+			for j := range qs[i] {
+				qs[i][j] = uniform32(r)
+			}
+		}
+		b.Run(fmt.Sprintf("rows=%d/dim=%d", shape.rows, shape.dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				argminSink, _ = m.ArgminL2(qs[i%len(qs)])
+			}
+		})
+	}
+}
+
+var argminSink int

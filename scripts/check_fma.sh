@@ -3,18 +3,18 @@
 # arithmetic, in compiled Go on arm64 or in any hand-written assembly.
 #
 # The Go spec lets a compiler fuse x*y+z into one FMA instruction, which
-# rounds once instead of twice. pq's dsub-8 LUT kernel and vecmath's SSE
-# row kernel are bit-identical to the scalar reference (vecmath's l2Ref)
-# only because every product is rounded on its own: the Go code spells
-# each one with an explicit float32(...) conversion, which forbids the
-# fusion, and the assembly uses separate multiply and add instructions.
+# rounds once instead of twice. vecmath's SSE row kernel, and with it
+# pq's BuildLUTInto and Encode on vecmath.L2Rows, are bit-identical to
+# the scalar reference (vecmath's l2Ref) only because every product is
+# rounded on its own: the Go code spells each one with an explicit
+# float32(...) conversion, which forbids the fusion, and the assembly
+# uses separate multiply and add instructions.
 #
 # Two checks:
 #   - cross-compile internal/vecmath and internal/pq for arm64, read the
 #     assembly, and fail on FMADDS/FMSUBS/FNMADDS/FNMSUBS inside
-#     L2Squared, l2Ref, L2RowsReference, BuildLUTInto, the row kernel
-#     lutRow8 or Encode (the last two may be inlined, so they are checked
-#     only when present);
+#     L2Squared, l2Ref, L2RowsReference, BuildLUTInto or Encode (Encode
+#     may be inlined, so it is checked only when present);
 #   - fail on any FMA mnemonic (VFMADD*, VFNMADD*, VFMSUB*, VFNMSUB*,
 #     FMADD*, FMSUB*, FNMADD*, FNMSUB*) in an internal/**/*.s file.
 #
@@ -25,7 +25,7 @@ asm="$(GOARCH=arm64 go build -gcflags=-S ./internal/vecmath ./internal/pq 2>&1)"
 printf '%s\n' "$asm" | awk '
 	/ STEXT / {
 		fn = $1
-		checked = fn ~ /^repro\/internal\/(vecmath\.(L2Squared|l2Ref|L2RowsReference)|pq\.\(\*Quantizer\)\.(BuildLUTInto|Encode)|pq\.lutRow8)$/
+		checked = fn ~ /^repro\/internal\/(vecmath\.(L2Squared|l2Ref|L2RowsReference)|pq\.\(\*Quantizer\)\.(BuildLUTInto|Encode))$/
 		seen[fn] = 1
 		next
 	}
