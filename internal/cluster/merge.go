@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sort"
-
-	"repro/internal/topk"
-)
+import "repro/internal/topk"
 
 // Owner returns the shard (0..n-1) that owns id under stable ID hashing:
 // the shard every write of id is routed to, and the shard whose answer
@@ -28,9 +24,9 @@ type ShardHits struct {
 	Cands []topk.Candidate
 }
 
-// Merge folds per-shard top-k lists into one global top-k, ascending
-// distance with ties broken by ascending ID — the paper's coordinator
-// merge, hardened for live shards:
+// Merge folds per-shard top-k lists into one global top-k in ascending
+// topk.Less order (distance, then id) — the paper's coordinator merge,
+// hardened for live shards:
 //
 //   - duplicate IDs across shards collapse to the single best (smallest)
 //     distance, so a vector present on two shards cannot occupy two
@@ -45,10 +41,10 @@ type ShardHits struct {
 //     missed the delete.
 //
 // The selection is fully deterministic: when several candidates tie on
-// distance at the k boundary, the smallest IDs win. (A bounded heap fed
-// from a map would instead keep whichever tied candidate was pushed
-// first — map iteration order — making merged results, and therefore
-// measured recall, vary call to call.)
+// distance at the k boundary, the smallest IDs win. The bounded heap is
+// fed in map iteration order, which cannot matter under topk.Less's total
+// order; since each shard answers its own top-k under the same order, the
+// result is the top-k of the union of the shards' candidates.
 //
 // Distances are compared in the float domain.
 func Merge(k int, hits []ShardHits, owns func(id int64, shard int) bool) []topk.Candidate {
@@ -71,18 +67,9 @@ func Merge(k int, hits []ShardHits, owns func(id int64, shard int) bool) []topk.
 	if len(best) == 0 {
 		return nil
 	}
-	all := make([]topk.Candidate, 0, len(best))
+	h := topk.NewHeap(min(k, len(best)))
 	for id, d := range best {
-		all = append(all, topk.Candidate{ID: id, Dist: d})
+		h.Push(id, d)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return h.Sorted()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/topk"
+	"repro/internal/xrand"
 )
 
 func TestOwnerStableAndInRange(t *testing.T) {
@@ -176,5 +177,49 @@ func TestMergeTiedBoundaryDeterministic(t *testing.T) {
 	want := []topk.Candidate{{ID: 10, Dist: 0.1}, {ID: 20, Dist: 0.5}, {ID: 30, Dist: 0.5}, {ID: 40, Dist: 0.5}}
 	for i := 0; i < 50; i++ {
 		assertCands(t, Merge(4, hits, nil), want)
+	}
+}
+
+// TestMergeEqualsOneHeap is the router's merge invariant at unit level.
+// Distinct candidates take their distances from a few values, so ties
+// straddle every k boundary; they are dealt over n shards, each shard
+// answers its own top-k, and Merge over those answers must equal one
+// bounded heap over the union, candidate for candidate. Both the shards
+// and the union heap are fed in a shuffled order, so under a tie rule
+// that kept the first tied candidate pushed the two would part.
+func TestMergeEqualsOneHeap(t *testing.T) {
+	r := xrand.New(8)
+	for trial := 0; trial < 300; trial++ {
+		n, k, levels := 1+r.Intn(5), 1+r.Intn(20), 1+r.Intn(6)
+		cands := make([]topk.Candidate, 1+r.Intn(150))
+		for i := range cands {
+			cands[i] = topk.Candidate{ID: int64(i), Dist: float32(r.Intn(levels)) / 4}
+		}
+		for i := len(cands) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			cands[i], cands[j] = cands[j], cands[i]
+		}
+		union := topk.NewHeap(k)
+		shards := make([]*topk.Heap, n)
+		for i := range shards {
+			shards[i] = topk.NewHeap(k)
+		}
+		for _, c := range cands {
+			shards[r.Intn(n)].Push(c.ID, c.Dist)
+			union.Push(c.ID, c.Dist)
+		}
+		hits := make([]ShardHits, n)
+		for i, h := range shards {
+			hits[i] = ShardHits{Shard: i, Cands: h.Sorted()}
+		}
+		got, want := Merge(k, hits, nil), union.Sorted()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (n %d, k %d): merged %d candidates, one heap %d", trial, n, k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n %d, k %d): rank %d merged %+v, one heap %+v", trial, n, k, i, got[i], want[i])
+			}
+		}
 	}
 }

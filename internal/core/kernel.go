@@ -366,8 +366,8 @@ func (e *Engine) scanCAE(t *pim.Tasklet, rt *dpuRuntime, wram []byte, cluster in
 func (e *Engine) offerCandidate(t *pim.Tasklet, local *topk.Heap, cluster int32, idx int, sum uint32) {
 	t.Exec(costHeapCompare)
 	d := float32(sum) // exact: sums stay below 2^24
-	if local.WouldAccept(d) {
-		local.Push(encodeCandidate(cluster, idx), d)
+	if id := encodeCandidate(cluster, idx); local.WouldAccept(id, d) {
+		local.Push(id, d)
 		t.Exec(heapUpdateCost(e.Cfg.K))
 	}
 }
@@ -390,7 +390,7 @@ func (e *Engine) mergeTopK(t *pim.Tasklet, rt *dpuRuntime) {
 		for i, c := range asc {
 			t.SemTake(0)
 			t.Exec(costHeapCompare)
-			if rt.total.Full() && c.Dist >= rt.total.Worst() {
+			if !rt.total.WouldAccept(c.ID, c.Dist) {
 				t.SemGive(0)
 				rt.merge.Pruned += len(asc) - i
 				rt.merge.Considered += len(asc) - i
@@ -406,7 +406,7 @@ func (e *Engine) mergeTopK(t *pim.Tasklet, rt *dpuRuntime) {
 		for _, c := range local.Items() {
 			t.SemTake(0)
 			t.Exec(costHeapCompare)
-			if rt.total.WouldAccept(c.Dist) {
+			if rt.total.WouldAccept(c.ID, c.Dist) {
 				rt.total.Push(c.ID, c.Dist)
 				t.Exec(heapUpdateCost(k))
 			}

@@ -189,7 +189,7 @@ func GroundTruth(base, queries *vecmath.Matrix, k int) [][]topk.Candidate {
 					ds := block[:min(len(block), base.Rows-b)]
 					vecmath.L2Rows(ds, q, base.Data[b*base.Dim:(b+len(ds))*base.Dim])
 					for j, d := range ds {
-						if h.WouldAccept(d) {
+						if h.WouldAccept(int64(b+j), d) {
 							h.Push(int64(b+j), d)
 						}
 					}

@@ -195,7 +195,7 @@ func (g *Graph) searchLayer(q []float32, entry int32, ef int, layer int) []topk.
 		c := frontier[best]
 		frontier[best] = frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
-		if results.Full() && c.Dist > results.Worst() {
+		if results.Full() && c.Dist > results.Worst().Dist {
 			break
 		}
 		for _, nb := range g.links[layer][int32(c.ID)] {
@@ -204,8 +204,7 @@ func (g *Graph) searchLayer(q []float32, entry int32, ef int, layer int) []topk.
 			}
 			visited[nb] = true
 			d := g.dist(q, nb)
-			if !results.Full() || d < results.Worst() {
-				results.Push(int64(nb), d)
+			if results.Push(int64(nb), d) {
 				frontier = append(frontier, topk.Candidate{ID: int64(nb), Dist: d})
 			}
 		}

@@ -117,36 +117,3 @@ func TestSearchScratchReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestSearchZeroAllocSteadyState is the acceptance gate for the scratch
-// plumbing: with an explicit warmed Scratch, Search performs zero heap
-// allocations per query in every mode.
-func TestSearchZeroAllocSteadyState(t *testing.T) {
-	ix, data := buildIndex(t, 9, 4000, 32, 32, 8)
-	allow := func(id int64) bool { return id%3 != 0 }
-	cases := []struct {
-		name string
-		o    SearchOpts
-	}{
-		{"float", SearchOpts{NProbe: 6, K: 10}},
-		{"quantized", SearchOpts{NProbe: 6, K: 10, Quantized: true}},
-		{"filtered", SearchOpts{NProbe: 6, K: 10, Allow: allow}},
-		{"filtered_quantized", SearchOpts{NProbe: 6, K: 10, Allow: allow, Quantized: true}},
-	}
-	for _, tc := range cases {
-		s := NewScratch()
-		o := tc.o
-		o.Scratch = s
-		qi := 0
-		// Warm the scratch (first call grows every buffer), then demand
-		// allocation-free steady state.
-		ix.Search(data.Row(0), o)
-		allocs := testing.AllocsPerRun(50, func() {
-			qi++
-			ix.Search(data.Row(qi%data.Rows), o)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per search in steady state, want 0", tc.name, allocs)
-		}
-	}
-}

@@ -274,6 +274,13 @@ type SearchStats struct {
 	HeapPushes     int // candidates offered to the heap (stage d)
 	HeapAccepted   int // candidates retained by the heap (stage d)
 	ProbedClusters int
+
+	// Probed non-empty clusters served in place (every posting list) or
+	// streamed cold, the cold ones' bytes, and those skipped as faulty.
+	HotClusters     int
+	ColdClusters    int
+	SkippedClusters int
+	ColdBytes       int
 }
 
 // Add accumulates other into s.
@@ -286,4 +293,8 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.HeapPushes += other.HeapPushes
 	s.HeapAccepted += other.HeapAccepted
 	s.ProbedClusters += other.ProbedClusters
+	s.HotClusters += other.HotClusters
+	s.ColdClusters += other.ColdClusters
+	s.SkippedClusters += other.SkippedClusters
+	s.ColdBytes += other.ColdBytes
 }

@@ -1,6 +1,7 @@
 package ivfpq
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -34,19 +35,21 @@ type SearchOpts struct {
 	// residual, distance blocks, heap, result buffer); the steady-state
 	// search path then performs zero heap allocations, and the returned
 	// candidates alias the scratch (valid until its next use). When nil,
-	// scratch is drawn from an internal pool and the result is freshly
+	// the search finds its own scratch and the result is freshly
 	// allocated.
 	Scratch *Scratch
 }
 
 // Fold is a top-k heap with its acceptance threshold cached, so folding
 // a block of distances costs a compare per code and a heap call only per
-// accepted one. The skip condition replicates topk.Heap.Push's reject
-// case exactly.
+// accepted one. The skip condition is topk.Heap.Push's reject case,
+// !topk.Less(candidate, worst), with the id read only on an equal
+// distance.
 type Fold struct {
-	heap  topk.Heap
-	full  bool
-	worst float32
+	heap    topk.Heap
+	full    bool
+	worst   float32
+	worstID int64
 }
 
 // Reset empties the fold and sets its depth to k. It panics if k <= 0
@@ -67,32 +70,51 @@ func (f *Fold) AppendSorted(dst []topk.Candidate) []topk.Candidate {
 func (f *Fold) push(ids []int64, at []int32, dists []float32) int {
 	accepted := 0
 	for j, d := range dists {
-		if f.full && d >= f.worst {
-			continue
-		}
 		i := j
 		if at != nil {
 			i = int(at[j])
 		}
+		if f.full && d >= f.worst && (d > f.worst || ids[i] >= f.worstID) {
+			continue
+		}
 		f.heap.Push(ids[i], d)
 		accepted++
 		if f.full = f.heap.Full(); f.full {
-			f.worst = f.heap.Worst()
+			w := f.heap.Worst()
+			f.worst, f.worstID = w.Dist, w.ID
 		}
 	}
 	return accepted
 }
 
+// Payload serves the clusters Run scans: ScanCluster feeds cluster c's
+// ids and M-byte codes to fn, in one call if the cluster is resident,
+// else in runs of at most rows rows, and returns the first error. *Index
+// serves its posting lists; tier.Store its pinned slabs and cold chunks.
+type Payload interface {
+	ScanCluster(c int32, rows int, fn func(ids []int64, codes []uint8) error) (resident bool, err error)
+}
+
+// ScanCluster serves posting list c in one resident call.
+func (ix *Index) ScanCluster(c int32, _ int, fn func(ids []int64, codes []uint8) error) (bool, error) {
+	return true, fn(ix.Lists[c].IDs, ix.Lists[c].Codes)
+}
+
 // Scratch is the preallocated working memory for one searcher goroutine
 // and the one place a probed cluster's payload is scored. Between Begin
-// and Finish it is a per-query scanner: Cluster names the probed cluster,
-// Scan and ScanAt are fed that cluster's (ids, codes) wherever they live
-// — posting lists, tier slabs or cold chunks, overlay logs — and build
-// the cluster's LUT on the first code that needs it, at most once.
+// and Finish it is a per-query scanner: Run streams each probed
+// cluster's (ids, codes) from a Payload through the ADC kernels, building
+// the cluster's LUT on the first code that needs it, at most once, and
+// ScanAt scores further codes of the current cluster off that LUT.
 //
 // A single Scratch serves indexes of any shape — every buffer is grown on
 // first use and reused afterwards — but must not be shared concurrently.
 type Scratch struct {
+	// AfterCluster, when set, runs after Run scans each cluster, while
+	// its LUT is current, so ScanAt in it scores extra codes of the
+	// cluster (mutable's overlay runs) off the same table.
+	AfterCluster func(c int32)
+
 	probes []int32
 	pdists []float32
 	resid  []float32
@@ -111,9 +133,13 @@ type Scratch struct {
 	quantized bool
 	cluster   int32
 	haveLUT   bool
+	streamed  int // bytes of ids and codes the current cluster delivered
 	st        SearchStats
 	lutDur    time.Duration // LUT builds since Begin
-	scanDur   time.Duration // Scan/ScanAt wall time net of LUT builds
+	scanDur   time.Duration // scan/ScanAt wall time net of LUT builds
+
+	// scanFn is scan bound once, the fn Run hands every payload.
+	scanFn func(ids []int64, codes []uint8) error
 }
 
 // NewScratch returns an empty Scratch; buffers are sized lazily by the
@@ -138,10 +164,7 @@ func (ix *Index) Search(query []float32, o SearchOpts) ([]topk.Candidate, Search
 		defer scratchPool.Put(s)
 	}
 	s.Begin(ix, query, o)
-	for _, cl := range s.Probe(o.NProbe) {
-		s.Cluster(cl)
-		s.Scan(ix.Lists[cl].IDs, ix.Lists[cl].Codes)
-	}
+	s.Run(s.Probe(o.NProbe), ix) // posting lists cannot fail
 	cands, st := s.Finish()
 	if o.Scratch == nil {
 		cands = append([]topk.Candidate(nil), cands...)
@@ -150,9 +173,9 @@ func (ix *Index) Search(query []float32, o SearchOpts) ([]topk.Candidate, Search
 }
 
 // Begin starts one query against ix: o.K is the depth of the scanner's
-// own heap, o.Allow and o.Quantized shape every Scan until Finish
-// (o.NProbe and o.Scratch are the caller's business). Buffers are sized
-// here; cheap when already sized.
+// own heap, o.Allow and o.Quantized shape every cluster scanned until
+// Finish (o.NProbe and o.Scratch are the caller's business). Buffers are
+// sized here; cheap when already sized.
 func (s *Scratch) Begin(ix *Index, query []float32, o SearchOpts) {
 	if cap(s.resid) < ix.Dim {
 		s.resid = make([]float32, ix.Dim)
@@ -181,20 +204,48 @@ func (s *Scratch) Probe(nprobe int) []int32 {
 	return s.probes
 }
 
-// Cluster makes cl the cluster the following Scan/ScanAt calls belong
-// to. Its LUT is built lazily: a probed cluster none of whose codes
-// reaches the kernels — empty, or fully disallowed — never pays LUT
-// construction at all.
-func (s *Scratch) Cluster(cl int32) {
-	s.cluster, s.haveLUT = cl, false
+// Run is the probe loop. Per probed cluster, in the order given, it
+// resets the LUT (built lazily: a cluster none of whose codes reaches
+// the kernels never pays for one), streams p's payload through the
+// scanner, counts the cluster hot or cold, and calls AfterCluster. A
+// failed read ends the query unless p has a search-only SkipFault policy
+// that skips the cluster (tier.Store under SkipFaulty; a fold, which must
+// see every row, never asks it). Under topk.Less the answer does not
+// depend on the order of probes.
+func (s *Scratch) Run(probes []int32, p Payload) error {
+	if s.scanFn == nil {
+		s.scanFn = s.scan
+	}
+	for _, c := range probes {
+		s.cluster, s.haveLUT, s.streamed = c, false, 0
+		resident, err := p.ScanCluster(c, pq.ScanBlock, s.scanFn)
+		switch {
+		case !resident:
+			s.st.ColdClusters++
+			s.st.ColdBytes += s.streamed
+		case s.streamed > 0:
+			s.st.HotClusters++
+		}
+		if err != nil {
+			if f, ok := p.(interface{ SkipFault(int32, error) bool }); !ok || !f.SkipFault(c, err) {
+				return fmt.Errorf("ivfpq: cluster %d: %w", c, err)
+			}
+			s.st.SkippedClusters++
+		}
+		if s.AfterCluster != nil {
+			s.AfterCluster(c)
+		}
+	}
+	return nil
 }
 
-// Scan scores a run of the current cluster's payload — ids and their
+// scan scores a run of the current cluster's payload — ids and their
 // flattened M-byte codes, a whole list or one streamed chunk — into the
 // scanner's own heap, pq.ScanBlock codes at a time. With an allow
 // predicate it first collects each block's allowed positions, then
 // gather-scans their codes in one sweep.
-func (s *Scratch) Scan(ids []int64, codes []uint8) {
+func (s *Scratch) scan(ids []int64, codes []uint8) error {
+	s.streamed += len(ids)*8 + len(codes)
 	start, lut0 := time.Now(), s.lutDur
 	m := s.ix.PQ.M
 	for base := 0; base < len(ids); base += pq.ScanBlock {
@@ -217,12 +268,13 @@ func (s *Scratch) Scan(ids []int64, codes []uint8) {
 		}
 	}
 	s.scanDur += time.Since(start) - (s.lutDur - lut0)
+	return nil
 }
 
 // ScanAt scores the codes at positions at of the current cluster's
 // (ids, codes) arrays into f — a caller-owned heap sharing the cluster's
-// LUT with Scan. The positions are the caller's selection; the allow
-// predicate is not applied.
+// LUT with Run's scan. The positions are the caller's selection; the
+// allow predicate is not applied.
 func (s *Scratch) ScanAt(f *Fold, ids []int64, codes []uint8, at []int32) {
 	start, lut0 := time.Now(), s.lutDur
 	for lo := 0; lo < len(at); lo += pq.ScanBlock {
@@ -280,7 +332,7 @@ func (s *Scratch) score(f *Fold, ids []int64, codes []uint8, at []int32) {
 }
 
 // Finish ends the query: it feeds the kernel bandwidth counters and
-// returns the scanner's own top-K in ascending distance order plus the
+// returns the scanner's own top-K in ascending topk.Less order plus the
 // work counters of everything scored since Begin. The candidates alias
 // the scratch (valid until its next use).
 func (s *Scratch) Finish() ([]topk.Candidate, SearchStats) {

@@ -130,9 +130,11 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 	start := time.Now()
 
 	// ---- Fold (no locks): base entries that survived, then the live log
-	// versions, cluster by cluster. A tiered base streams from the pinned
-	// epoch's image in bounded chunks; an in-RAM base reads its lists
-	// directly. ----
+	// versions, cluster by cluster. The base is read through the epoch's
+	// payload, as searches read it: an in-RAM list in one call, a tiered
+	// cluster streamed from the pinned epoch's image in bounded chunks.
+	// Any read error fails the fold: the store's SkipFaulty is a search
+	// policy, and a fold that skipped a cluster would drop its vectors. ----
 	m := fc.snap.ix.PQ.M
 	newIx := fc.snap.ix.CloneStructure()
 	folded := uint64(0)
@@ -149,13 +151,11 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 			}
 			return nil
 		}
-		if fc.snap.tix == nil {
-			survivors(fc.snap.ix.Lists[c].IDs, fc.snap.ix.Lists[c].Codes)
-		} else if _, err := fc.snap.tix.Store().ScanCluster(int32(c), tier.FoldChunk, survivors); err != nil {
+		if _, err := fc.snap.base.ScanCluster(int32(c), tier.FoldChunk, survivors); err != nil {
 			u.compactErrs.Add(1)
 			obs.Flight.Record("compaction_error",
 				obs.Int("epoch", int64(fc.snap.epoch)), obs.Str("stage", "fold"), obs.Str("err", err.Error()))
-			return false, fmt.Errorf("mutable: folding tiered cluster %d of epoch %d: %w", c, fc.snap.epoch, err)
+			return false, fmt.Errorf("mutable: folding cluster %d of epoch %d: %w", c, fc.snap.epoch, err)
 		}
 		lg := &fc.logs[c]
 		for i := 0; i < fc.logLens[c]; i++ {
@@ -187,6 +187,7 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 		next = &snapshot{
 			epoch: fc.snap.epoch + 1,
 			ix:    newIx,
+			base:  newIx,
 			freqs: fc.freqs,
 			baseN: newIx.NTotal,
 			occ:   clusterOccupancy(newIx),
@@ -239,10 +240,11 @@ func (u *UpdatableIndex) Compact(force bool) (bool, error) {
 	u.lastTrigger = fc.trigger
 	u.mu.Unlock()
 
-	// The replaced epoch is retired after publication: readers that pinned
-	// it under the overlay lock keep its image alive until they finish;
-	// once the last unpins, the tier store closes and the file is deleted.
-	fc.snap.retire()
+	// The replaced epoch is retired after publication by dropping the
+	// publisher's reference: readers that pinned it under the overlay lock
+	// keep its image alive until they finish; once the last unpins, the
+	// tier store closes and the file is deleted.
+	fc.snap.unpin()
 
 	ns := time.Since(start).Nanoseconds()
 	u.lastCompactNs.Store(ns)

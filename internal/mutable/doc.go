@@ -14,10 +14,11 @@
 //
 //   - Every read — plain, tiered, filtered, shadow-oracle — runs one
 //     sequence: coarse probe, one consistent (epoch, overlay) cut under
-//     the overlay read lock, one lock-free scan on the ivfpq scanner,
-//     merge. Per probed cluster the scanner folds the captured epoch's
-//     base payload (posting list, or tier store out of core) and the
-//     cluster's live log entries off one fixed-scale quantized LUT;
+//     the overlay read lock, one lock-free scan on the ivfpq probe loop
+//     (Scratch.Run), merge. Per probed cluster the loop folds the
+//     captured epoch's base payload (posting list, or tier store out of
+//     core, read through the one ivfpq.Payload method) and the cluster's
+//     live log entries off one fixed-scale quantized LUT;
 //     tombstones filter dead ids, and newer log versions shadow their
 //     base copies, so inserts and deletes are visible immediately, not at
 //     the next compaction.

@@ -99,21 +99,24 @@ func (c Config) withDefaults() Config {
 
 // snapshot is one published epoch: an immutable index whose base is
 // searched by the native ADC kernels, from its in-RAM posting lists or —
-// in tiered mode (tix non-nil) — through a tier store over an epoch image
-// file. Readers load it through an atomic pointer and never observe
+// in tiered mode (store non-nil) — through a tier store over an epoch
+// image file. Readers load it through an atomic pointer and never observe
 // mutation.
 type snapshot struct {
 	epoch uint64
 	ix    *ivfpq.Index
+	// base serves the epoch's cluster payloads to the scan and the fold:
+	// ix itself in RAM, the tier store out of core.
+	base  ivfpq.Payload
 	freqs []float64 // access frequencies seeding a tiered epoch's hot set
 	baseN int64
 	occ   []float64 // per-cluster base vector counts (quality drift reference)
 
-	// Tiered-mode state (see tiered.go): the tier executor, the epoch's
+	// Tiered-mode state (see tiered.go): the tier store, the epoch's
 	// image file, and the reference count governing their lifetime. The
 	// count starts at 1 (the publisher); readers pin/unpin around
 	// lock-free base scans and the last reference reclaims file + store.
-	tix     *tier.Index
+	store   *tier.Store
 	refs    atomic.Int64
 	img     *os.File
 	imgPath string
@@ -238,7 +241,7 @@ func newIndex(ix *ivfpq.Index, freqs []float64, cfg Config) (*UpdatableIndex, er
 		u.snap.Store(snap)
 		return u, nil
 	}
-	u.snap.Store(&snapshot{ix: ix, freqs: freqs, baseN: ix.NTotal, occ: clusterOccupancy(ix)})
+	u.snap.Store(&snapshot{ix: ix, base: ix, freqs: freqs, baseN: ix.NTotal, occ: clusterOccupancy(ix)})
 	return u, nil
 }
 
@@ -272,7 +275,7 @@ func (u *UpdatableIndex) Close() {
 			// compactMu excludes an explicit Compact racing the shutdown —
 			// publication inside it would leak the epoch we retire here.
 			u.compactMu.Lock()
-			u.snap.Load().retire()
+			u.snap.Load().unpin() // the publisher's reference
 			u.compactMu.Unlock()
 		})
 	}
@@ -500,7 +503,7 @@ func (u *UpdatableIndex) read(sc *readScratch, queries *vecmath.Matrix, rd baseR
 	cost.AddColdBytes(int64(st.ColdBytes))
 	if sl != nil {
 		attrs := []obs.Attr{obs.Int("epoch", int64(snap.epoch)), obs.Int("codes_scanned", int64(st.CodesScanned))}
-		if snap.tix != nil {
+		if snap.store != nil {
 			attrs = append(attrs, obs.Int("hot_clusters", int64(st.HotClusters)),
 				obs.Int("cold_clusters", int64(st.ColdClusters)), obs.Int("skipped_clusters", int64(st.SkippedClusters)))
 		}
@@ -532,44 +535,37 @@ func (u *UpdatableIndex) read(sc *readScratch, queries *vecmath.Matrix, rd baseR
 	return out, nil
 }
 
-// scan scores one read's cut on the ivfpq scanner, query by query and
-// probed cluster by probed cluster: the epoch's base payload — posting
-// list, or tier store out of core — folds into the scanner's heap, and
-// the cluster's gathered live log entries fold into the overlay heap off
-// the same LUT, so base and overlay distances share one fixed-scale
-// quantized arithmetic and a cluster costs one LUT whatever is pending in
-// it. Only a live read hints the tier store about its probes. It needs
-// no lock; tiered callers must hold a pin.
-func (u *UpdatableIndex) scan(sc *readScratch, snap *snapshot, queries *vecmath.Matrix, rd baseRead) (base, live [][]topk.Candidate, st tier.SearchStats, err error) {
+// scan scores one read's cut on the ivfpq probe loop, query by query:
+// the epoch's base payload folds into the scanner's heap, and the
+// scanner's AfterCluster hook (scoreOverlay) folds each probed cluster's
+// gathered live log entries into the overlay heap off the same LUT, so
+// base and overlay distances share one fixed-scale quantized arithmetic
+// and a cluster costs one LUT whatever is pending in it. Only a live read
+// hints the tier store about its probes. It needs no lock; tiered callers
+// must hold a pin.
+func (u *UpdatableIndex) scan(sc *readScratch, snap *snapshot, queries *vecmath.Matrix, rd baseRead) (base, live [][]topk.Candidate, st ivfpq.SearchStats, err error) {
 	bo := ivfpq.SearchOpts{K: max(rd.plan.FetchK, u.cfg.Engine.K), Quantized: true}
 	if rd.plan.Mode == filter.ModePre {
 		bo.Allow = rd.match
 	}
 	base = make([][]topk.Candidate, queries.Rows)
 	live = make([][]topk.Candidate, queries.Rows)
-	s, runs := sc.scan, sc.runs
+	s := sc.scan
+	sc.pending = sc.runs
 	for qi := range base {
 		probes := sc.probesOf(qi)
 		s.Begin(snap.ix, queries.Row(qi), bo)
+		sc.query = qi
 		sc.live.Reset(rd.k)
-		if rd.live && snap.tix != nil {
-			snap.tix.Store().Hint(probes)
+		if rd.live && snap.store != nil {
+			snap.store.Hint(probes)
 		}
-		for _, cl := range probes {
-			s.Cluster(cl)
-			if snap.tix == nil {
-				s.Scan(snap.ix.Lists[cl].IDs, snap.ix.Lists[cl].Codes)
-			} else if err = snap.tix.ScanCluster(s, cl, &st); err != nil {
-				return nil, nil, st, err
-			}
-			if len(runs) > 0 && runs[0].query == qi && runs[0].cluster == cl {
-				r := &runs[0]
-				s.ScanAt(&sc.live, r.ids, r.codes, sc.at[r.lo:r.hi])
-				runs = runs[1:]
-			}
-		}
+		err = s.Run(probes, snap.base)
 		cands, scanned := s.Finish()
-		st.SearchStats.Add(scanned)
+		st.Add(scanned)
+		if err != nil {
+			return nil, nil, st, err
+		}
 		base[qi] = append([]topk.Candidate(nil), cands...)
 		live[qi] = sc.live.AppendSorted(nil)
 	}
@@ -600,18 +596,40 @@ type overlayRun struct {
 
 // readScratch is the pooled working memory of one read: the batch's
 // probe lists (np per query, flat), the overlay runs gathered for them
-// with their positions, and the scanner with the overlay-side heap.
+// with their positions, and the scanner with the overlay-side heap. While
+// scan runs, query is the query in flight and pending the runs not yet
+// scored.
 type readScratch struct {
-	np     int
-	probes []int32
-	pdists []float32
-	runs   []overlayRun
-	at     []int32
-	scan   *ivfpq.Scratch
-	live   ivfpq.Fold
+	np      int
+	probes  []int32
+	pdists  []float32
+	runs    []overlayRun
+	at      []int32
+	scan    *ivfpq.Scratch
+	live    ivfpq.Fold
+	query   int
+	pending []overlayRun
 }
 
-var readPool = sync.Pool{New: func() any { return &readScratch{scan: ivfpq.NewScratch()} }}
+// readPool's scratches score the overlay after every scanned cluster.
+var readPool = sync.Pool{New: func() any {
+	sc := &readScratch{scan: ivfpq.NewScratch()}
+	sc.scan.AfterCluster = sc.scoreOverlay
+	return sc
+}}
+
+// scoreOverlay is the scanner's AfterCluster hook: it folds the query in
+// flight's gathered live log entries in cluster c, if it has any, into
+// the overlay heap off the cluster's LUT. Runs are gathered in the scan's
+// probe order, so the next pending run is the only one that can match.
+func (sc *readScratch) scoreOverlay(c int32) {
+	if len(sc.pending) == 0 || sc.pending[0].query != sc.query || sc.pending[0].cluster != c {
+		return
+	}
+	r := &sc.pending[0]
+	sc.scan.ScanAt(&sc.live, r.ids, r.codes, sc.at[r.lo:r.hi])
+	sc.pending = sc.pending[1:]
+}
 
 // probe runs cluster filtering for every query of the batch; each
 // query's slot has capacity exactly np, so ProbeInto fills it in place.

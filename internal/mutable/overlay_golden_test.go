@@ -137,7 +137,7 @@ func checkScanOverlayGolden(t *testing.T, dim, m int) {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
 	snap := u.snap.Load()
-	sc := &readScratch{scan: ivfpq.NewScratch()}
+	sc := readPool.Get().(*readScratch)
 	sc.probe(snap.ix, queries, 6)
 	probes := make([][]int32, queries.Rows)
 	for qi := range probes {

@@ -51,7 +51,7 @@ func TestOracleLeavesTierResidencyAlone(t *testing.T) {
 		t.Fatalf("oracle reads queued prefetches: issued %d -> %d, dropped %d -> %d",
 			before.PrefetchIssued, st.PrefetchIssued, before.PrefetchDropped, st.PrefetchDropped)
 	}
-	u.snap.Load().tix.Store().Rebalance()
+	u.snap.Load().store.Rebalance()
 	if st := u.TierStats(); st.HotClusters != before.HotClusters || st.Promotions != before.Promotions || st.Evictions != before.Evictions {
 		t.Fatalf("hot set moved after oracle reads: %d clusters (%d promotions, %d evictions), was %d (%d, %d)",
 			st.HotClusters, st.Promotions, st.Evictions, before.HotClusters, before.Promotions, before.Evictions)
@@ -61,7 +61,7 @@ func TestOracleLeavesTierResidencyAlone(t *testing.T) {
 	if _, err := u.Search(vecmath.WrapMatrix(data.Row(0), 1, dim), SearchOpts{K: 10}); err != nil {
 		t.Fatal(err)
 	}
-	u.snap.Load().tix.Store().Rebalance()
+	u.snap.Load().store.Rebalance()
 	if st := u.TierStats(); st.Promotions == before.Promotions {
 		t.Fatal("a live read over cold clusters promoted nothing at the next rebalance")
 	}

@@ -11,9 +11,10 @@ import (
 // Tiered deployments serve each epoch's base out of core: compaction
 // writes the folded base as a cluster image file, strips the in-RAM
 // posting lists, and searches the base through an internal/tier store
-// (hot-set pinning, async prefetch, cold streaming). The read path is
-// the in-RAM one; only UpdatableIndex.scan knows which of the two feeds
-// the scanner a probed cluster's payload.
+// (hot-set pinning, async prefetch, cold streaming). The read path and
+// the fold are the in-RAM ones: both read a cluster's payload through the
+// snapshot's ivfpq.Payload, the index in RAM or the tier store out of
+// core, and neither asks which.
 //
 // Epoch lifetime is reference-counted: a snapshot is born holding the
 // publisher's reference, every reader pins it under the overlay read
@@ -37,7 +38,7 @@ type TierConfig struct {
 // also holds the overlay lock, so a snapshot loaded and pinned there can
 // never have been retired in between.
 func (s *snapshot) pin() {
-	if s.tix != nil {
+	if s.store != nil {
 		s.refs.Add(1)
 	}
 }
@@ -45,20 +46,16 @@ func (s *snapshot) pin() {
 // unpin drops a reference; the last one out closes the tier store and
 // deletes the epoch's image file.
 func (s *snapshot) unpin() {
-	if s.tix == nil {
+	if s.store == nil {
 		return
 	}
 	if s.refs.Add(-1) != 0 {
 		return
 	}
-	s.tix.Store().Close()
+	s.store.Close()
 	s.img.Close()
 	os.Remove(s.imgPath)
 }
-
-// retire drops the publisher's reference, after the snapshot has been
-// replaced. Resources go when the last pinned reader unpins.
-func (s *snapshot) retire() { s.unpin() }
 
 // deployTiered turns a folded index into a tiered epoch snapshot: the
 // cluster payloads go to an image file, the in-RAM lists are stripped
@@ -95,15 +92,11 @@ func deployTiered(ix *ivfpq.Index, freqs []float64, epoch uint64, tc *TierConfig
 	st := tier.NewStore(tier.NewImageSource(img), tc.Store)
 	st.SeedFrequencies(freqs)
 	st.Rebalance()
-	tix, err := tier.NewIndex(ix, st)
-	if err != nil {
-		st.Close()
-		return fail(fmt.Errorf("mutable: deploying epoch %d tier: %w", epoch, err))
-	}
 	snap := &snapshot{
 		epoch:   epoch,
 		ix:      ix,
-		tix:     tix,
+		base:    st,
+		store:   st,
 		freqs:   freqs,
 		baseN:   baseN,
 		occ:     occ,
@@ -118,9 +111,9 @@ func deployTiered(ix *ivfpq.Index, freqs []float64, epoch uint64, tc *TierConfig
 // in-RAM deployments).
 func (u *UpdatableIndex) TierStats() *tier.Stats {
 	snap := u.snap.Load()
-	if snap.tix == nil {
+	if snap.store == nil {
 		return nil
 	}
-	st := snap.tix.Store().Stats()
+	st := snap.store.Stats()
 	return &st
 }

@@ -351,3 +351,35 @@ func TestTieredSkipFaultyStats(t *testing.T) {
 		t.Fatalf("base stage attrs %v: want hot+cold = nprobe 4, skipped 0", attrs)
 	}
 }
+
+// TestTieredFoldFailsOnFaultyRead pins SkipFaulty as a search-only
+// policy. With the epoch image truncated under an all-cold store, a
+// search skips the unreadable clusters and answers, but compaction's
+// fold, which reads the same clusters through the same method, fails and
+// publishes nothing rather than drop their base vectors.
+func TestTieredFoldFailsOnFaultyRead(t *testing.T) {
+	base := gaussMatrix(1000, testDim, 30)
+	cfg := tieredConfig(t, 0, tier.Config{SkipFaulty: true})
+	u := buildTiered(t, base, cfg)
+	files := imageFiles(t, cfg.Tier.Dir)
+	if len(files) != 1 {
+		t.Fatalf("%d epoch images, want 1", len(files))
+	}
+	if err := os.Truncate(files[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	q := gaussMatrix(1, testDim, 31)
+	if _, err := u.Search(q, mutable.SearchOpts{K: testK}); err != nil {
+		t.Fatalf("search under SkipFaulty: %v", err)
+	}
+	if ts := u.TierStats(); ts.SkippedClusters == 0 {
+		t.Fatal("search over an unreadable image skipped nothing")
+	}
+	before := u.Stats()
+	if ok, err := u.Compact(true); err == nil || ok {
+		t.Fatalf("fold over an unreadable image: published %v, err %v; want an error", ok, err)
+	}
+	if after := u.Stats(); after.Epoch != before.Epoch || after.BaseVectors != before.BaseVectors || after.CompactErrors != before.CompactErrors+1 {
+		t.Fatalf("failed fold changed the index: before %+v, after %+v", before, after)
+	}
+}

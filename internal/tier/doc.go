@@ -23,13 +23,14 @@
 //     heap.
 //
 // The package owns where a payload comes from, not how it is scored:
-// Index.ScanCluster feeds resident slabs or cold chunks to the ivfpq
-// scanner that ivfpq.Index.Search feeds posting lists to, so tiered
-// results are bit-identical to the in-RAM path in both arithmetic modes
-// and under filter pushdown (the golden suite pins this). I/O failures
-// surface as errors, or — under Config.SkipFaulty —
-// as per-cluster skips counted in SearchStats and on /metrics: a faulty
-// device can degrade a result, never silently corrupt one. The tests
-// drive short reads, EIO and slow reads through a fault-injecting
-// io.ReaderAt mounted under an ImageSource.
+// Store.ScanCluster is an ivfpq.Payload, feeding resident slabs or cold
+// chunks to the same probe loop, ivfpq.Scratch.Run, that posting lists
+// go through, so tiered results are bit-identical to the in-RAM path in
+// both arithmetic modes and under filter pushdown (the golden suite pins
+// this). I/O failures surface as errors, or — under Config.SkipFaulty,
+// a search-only policy (Store.SkipFault) — as per-cluster skips counted
+// in ivfpq.SearchStats and on /metrics: a faulty device can degrade a
+// result, never silently corrupt one, and compaction's fold fails rather
+// than drop a cluster. The tests drive short reads, EIO and slow reads
+// through a fault-injecting io.ReaderAt mounted under an ImageSource.
 package tier

@@ -137,7 +137,7 @@ func TestFaultSkipPolicyDegradesExactly(t *testing.T) {
 		}
 		fr.Clear()
 	}
-	if st := ti.Store().Stats(); st.SkippedClusters == 0 {
+	if st := ti.store.Stats(); st.SkippedClusters == 0 {
 		t.Fatalf("store counters missed the skips: %+v", st)
 	}
 }
@@ -249,7 +249,7 @@ func TestFaultRebalanceSkipsFaultyPromotion(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1
 	}
-	st := ti.Store()
+	st := ti.store
 	st.SeedFrequencies(freqs)
 	st.Rebalance()
 

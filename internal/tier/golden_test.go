@@ -209,7 +209,7 @@ func TestTieredSearchGoldenEquivalence(t *testing.T) {
 func TestTieredSearchResidencyAccounting(t *testing.T) {
 	ix, data := buildIndex(t, 77, 2000, 16, 12, 8)
 	setups := tieredSetups(t, ix)
-	promoted := setups["ram"].Store().Stats().ColdReads // Rebalance's promotion reads
+	promoted := setups["ram"].store.Stats().ColdReads // Rebalance's promotion reads
 	o := ivfpq.SearchOpts{NProbe: 6, K: 10}
 	for trial := 0; trial < 5; trial++ {
 		q := data.Row(trial * 17)
@@ -231,10 +231,10 @@ func TestTieredSearchResidencyAccounting(t *testing.T) {
 			t.Fatalf("cold setup touched %d clusters, ram setup %d", got, want)
 		}
 	}
-	if st := setups["image-cold"].Store().Stats(); st.ColdReads == 0 || st.ColdBytes == 0 {
+	if st := setups["image-cold"].store.Stats(); st.ColdReads == 0 || st.ColdBytes == 0 {
 		t.Fatalf("cold setup recorded no cold reads: %+v", st)
 	}
-	if st := setups["ram"].Store().Stats(); st.ColdReads != promoted {
+	if st := setups["ram"].store.Stats(); st.ColdReads != promoted {
 		t.Fatalf("ram setup searches recorded %d cold reads", st.ColdReads-promoted)
 	}
 }

@@ -32,9 +32,9 @@ type Config struct {
 	// explicit Rebalance calls.
 	RebalanceEvery time.Duration
 	// SkipFaulty makes searches abandon a cluster whose cold read fails
-	// — counted in SearchStats.SkippedClusters and on /metrics — instead
-	// of failing the whole search. Results degrade visibly, never
-	// silently.
+	// — counted in ivfpq.SearchStats.SkippedClusters and on /metrics —
+	// instead of failing the whole search. Results degrade visibly, never
+	// silently. Compaction's fold is not a search and still fails.
 	SkipFaulty bool
 }
 
@@ -134,9 +134,6 @@ func NewStore(src ClusterSource, cfg Config) *Store {
 
 // NumClusters returns the cluster count.
 func (s *Store) NumClusters() int { return len(s.hot) }
-
-// Len returns cluster c's vector count.
-func (s *Store) Len(c int32) int { return s.src.Len(c) }
 
 // SeedFrequencies primes the access counters from externally observed
 // probe frequencies (the drift detector's histogram), so the first
@@ -303,10 +300,16 @@ func (s *Store) readCluster(c int32) (*slab, error) {
 // the incident.
 const faultLogEvery = time.Second
 
-// recordSkipped accounts cluster c abandoned after I/O failure err,
-// attributing it to this store's shard in the process counters, the
-// flight recorder, and a rate-limited log line.
-func (s *Store) recordSkipped(c int32, err error) {
+// SkipFault is the store's search policy for a failed read: it reports
+// whether a search may go on without cluster c after its read failed with
+// err, which Config.SkipFaulty allows. A skip is attributed to this
+// store's shard in the process counters, the flight recorder, and a
+// rate-limited log line. Only searches ask (ivfpq.Scratch.Run), so
+// compaction's fold fails on the same error and never drops base vectors.
+func (s *Store) SkipFault(c int32, err error) bool {
+	if !s.cfg.SkipFaulty {
+		return false
+	}
 	s.skipped.Add(1)
 	obs.Tier.RecordSkippedCluster(s.cfg.ShardID)
 	attrs := []obs.Attr{obs.Int("cluster", int64(c))}
@@ -320,6 +323,7 @@ func (s *Store) recordSkipped(c int32, err error) {
 		log.Printf("tier: shard %q skipped cluster %d after I/O failure: %v (total skipped: %d)",
 			s.cfg.ShardID, c, err, s.skipped.Load())
 	}
+	return true
 }
 
 // Rebalance re-derives the hot set: rank non-resident clusters by
@@ -409,11 +413,12 @@ type chunk struct {
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // ScanCluster feeds cluster c's payload to fn: in one call when the
-// cluster is resident — hot set or prefetched — and
-// otherwise streamed from the source through a pooled buffer in cold
-// reads of up to rows rows. It is the one streaming loop: searches feed the ADC
-// scanner through it a pq.ScanBlock at a time, and compaction folds a
-// tiered base through it without ever materializing a full cluster.
+// cluster is resident — hot set or prefetched — and otherwise streamed
+// from the source through a pooled buffer in cold reads of up to rows
+// rows. It is the store's ivfpq.Payload method and its one streaming
+// loop: ivfpq.Scratch.Run feeds the ADC scanner through it a
+// pq.ScanBlock at a time, and compaction folds a tiered base through it
+// without ever materializing a full cluster.
 func (s *Store) ScanCluster(c int32, rows int, fn func(ids []int64, codes []uint8) error) (resident bool, err error) {
 	n := s.src.Len(c)
 	if n == 0 {

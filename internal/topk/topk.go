@@ -3,9 +3,13 @@
 // termination pruning that is UpANNS optimization 4 (Section 4.4 of the
 // paper, Fig. 15) runs in core's mergeTopK on these heaps.
 //
-// The convention throughout is "smaller distance is better": a Heap with
-// capacity k retains the k smallest distances seen, using a max-heap so the
-// current worst retained candidate is O(1) accessible for the pruning test.
+// One total order ranks every candidate: the smaller distance first, and
+// on an equal distance the smaller id (Less). A Heap with capacity k
+// retains the k first candidates under it, using a max-heap so the
+// current worst retained candidate is O(1) accessible for the pruning
+// test. Because the order is total, what a heap retains does not depend
+// on the order candidates were pushed in: a search may scan its clusters,
+// and a router merge its shards, in any order and return the same answer.
 package topk
 
 // Candidate is one (vector id, distance) search result.
@@ -14,15 +18,21 @@ type Candidate struct {
 	Dist float32
 }
 
-// Heap is a bounded max-heap on distance holding the k best (smallest
-// distance) candidates pushed so far. The zero value is unusable; create
-// with NewHeap.
+// Less reports whether a ranks before b: the smaller distance first, and
+// on an equal distance the smaller id. It is the one order every top-k
+// selection, merge and sort uses.
+func Less(a, b Candidate) bool {
+	return a.Dist < b.Dist || (a.Dist == b.Dist && a.ID < b.ID)
+}
+
+// Heap is a bounded max-heap under Less holding the k first candidates
+// pushed so far. The zero value is unusable; create with NewHeap.
 type Heap struct {
 	items []Candidate
 	k     int
 }
 
-// NewHeap returns a heap retaining the k smallest-distance candidates.
+// NewHeap returns a heap retaining the k first candidates under Less.
 // It panics if k <= 0.
 func NewHeap(k int) *Heap {
 	if k <= 0 {
@@ -37,13 +47,14 @@ func (h *Heap) Len() int { return len(h.items) }
 // Full reports whether the heap holds k candidates.
 func (h *Heap) Full() bool { return len(h.items) == h.k }
 
-// Worst returns the largest retained distance. It panics on an empty heap;
-// callers use Full() first when implementing pruning thresholds.
-func (h *Heap) Worst() float32 {
+// Worst returns the last retained candidate under Less. It panics on an
+// empty heap; callers use Full() first when implementing pruning
+// thresholds.
+func (h *Heap) Worst() Candidate {
 	if len(h.items) == 0 {
 		panic("topk: Worst on empty heap")
 	}
-	return h.items[0].Dist
+	return h.items[0]
 }
 
 // Reset empties the heap while retaining its capacity.
@@ -64,31 +75,32 @@ func (h *Heap) ResetK(k int) {
 }
 
 // Push offers a candidate. It returns true if the candidate was retained
-// (heap not yet full, or candidate beats the current worst).
+// (heap not yet full, or candidate ranks before the current worst).
 func (h *Heap) Push(id int64, dist float32) bool {
+	c := Candidate{ID: id, Dist: dist}
 	if len(h.items) < h.k {
-		h.items = append(h.items, Candidate{ID: id, Dist: dist})
+		h.items = append(h.items, c)
 		h.siftUp(len(h.items) - 1)
 		return true
 	}
-	if dist >= h.items[0].Dist {
+	if !Less(c, h.items[0]) {
 		return false
 	}
-	h.items[0] = Candidate{ID: id, Dist: dist}
+	h.items[0] = c
 	h.siftDown(0)
 	return true
 }
 
 // WouldAccept reports whether Push(id, dist) would retain the candidate,
 // without modifying the heap.
-func (h *Heap) WouldAccept(dist float32) bool {
-	return len(h.items) < h.k || dist < h.items[0].Dist
+func (h *Heap) WouldAccept(id int64, dist float32) bool {
+	return len(h.items) < h.k || Less(Candidate{ID: id, Dist: dist}, h.items[0])
 }
 
 func (h *Heap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].Dist >= h.items[i].Dist {
+		if !Less(h.items[parent], h.items[i]) {
 			return
 		}
 		h.items[parent], h.items[i] = h.items[i], h.items[parent]
@@ -101,10 +113,10 @@ func (h *Heap) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && h.items[l].Dist > h.items[largest].Dist {
+		if l < n && Less(h.items[largest], h.items[l]) {
 			largest = l
 		}
-		if r < n && h.items[r].Dist > h.items[largest].Dist {
+		if r < n && Less(h.items[largest], h.items[r]) {
 			largest = r
 		}
 		if largest == i {
@@ -119,16 +131,16 @@ func (h *Heap) siftDown(i int) {
 // slice aliases internal storage and is invalidated by further pushes.
 func (h *Heap) Items() []Candidate { return h.items }
 
-// Sorted returns the retained candidates in ascending distance order,
-// ties broken by ascending ID for determinism. The heap is left empty.
+// Sorted returns the retained candidates in ascending order under Less.
+// The heap is left empty.
 func (h *Heap) Sorted() []Candidate {
 	return h.AppendSorted(make([]Candidate, 0, len(h.items)))
 }
 
-// AppendSorted appends the retained candidates to dst in ascending
-// distance order (ties broken by ascending ID) and returns the extended
-// slice, leaving the heap empty. It is Sorted for allocation-free hot
-// paths: with cap(dst)-len(dst) >= Len(), no allocation occurs.
+// AppendSorted appends the retained candidates to dst in ascending order
+// under Less and returns the extended slice, leaving the heap empty. It
+// is Sorted for allocation-free hot paths: with cap(dst)-len(dst) >=
+// Len(), no allocation occurs.
 func (h *Heap) AppendSorted(dst []Candidate) []Candidate {
 	base := len(dst)
 	dst = append(dst, h.items...)
@@ -140,22 +152,7 @@ func (h *Heap) AppendSorted(dst []Candidate) []Candidate {
 		h.items = h.items[:n-1]
 		h.siftDown(0)
 	}
-	// Stabilize equal distances by ID (insertion order from heaps is
-	// arbitrary; experiments need deterministic output).
-	insertionSortTies(out)
 	return dst
-}
-
-func insertionSortTies(s []Candidate) {
-	for i := 1; i < len(s); i++ {
-		c := s[i]
-		j := i - 1
-		for j >= 0 && (s[j].Dist > c.Dist || (s[j].Dist == c.Dist && s[j].ID > c.ID)) {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = c
-	}
 }
 
 // MergeStats reports the work performed by core's pruned merge so the

@@ -47,8 +47,8 @@ func TestHeapWorst(t *testing.T) {
 	h := NewHeap(3)
 	h.Push(1, 5)
 	h.Push(2, 7)
-	if h.Worst() != 7 {
-		t.Fatalf("Worst = %v", h.Worst())
+	if h.Worst() != (Candidate{ID: 2, Dist: 7}) {
+		t.Fatalf("Worst = %+v", h.Worst())
 	}
 }
 
@@ -72,15 +72,21 @@ func TestNewHeapPanicsOnBadK(t *testing.T) {
 
 func TestWouldAccept(t *testing.T) {
 	h := NewHeap(1)
-	if !h.WouldAccept(100) {
+	if !h.WouldAccept(9, 100) {
 		t.Fatal("empty heap must accept anything")
 	}
-	h.Push(1, 50)
-	if h.WouldAccept(60) {
+	h.Push(5, 50)
+	if h.WouldAccept(1, 60) {
 		t.Fatal("full heap must reject worse")
 	}
-	if !h.WouldAccept(40) {
+	if !h.WouldAccept(9, 40) {
 		t.Fatal("full heap must accept better")
+	}
+	if h.WouldAccept(5, 50) || h.WouldAccept(6, 50) {
+		t.Fatal("full heap must reject an equal distance under an equal or larger id")
+	}
+	if !h.WouldAccept(4, 50) {
+		t.Fatal("full heap must accept an equal distance under a smaller id")
 	}
 }
 
@@ -111,37 +117,34 @@ func TestSortedDeterministicTies(t *testing.T) {
 	}
 }
 
+// TestHeapMatchesSortProperty pushes distinct ids in a random order, with
+// distances drawn from a few values so ties straddle the k boundary, and
+// requires the heap to keep exactly the first k of the set sorted by Less.
 func TestHeapMatchesSortProperty(t *testing.T) {
 	f := func(seed uint32, kRaw uint8) bool {
 		r := xrand.New(uint64(seed))
 		k := int(kRaw%20) + 1
 		n := r.Intn(200) + 1
+		levels := 1 + r.Intn(8)
 		h := NewHeap(k)
-		type pair struct {
-			id int64
-			d  float32
-		}
-		all := make([]pair, n)
+		all := make([]Candidate, n)
 		for i := range all {
-			all[i] = pair{int64(i), uniform32(r)}
-			h.Push(all[i].id, all[i].d)
+			all[i] = Candidate{ID: int64(i), Dist: float32(r.Intn(levels))}
 		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].d != all[j].d {
-				return all[i].d < all[j].d
-			}
-			return all[i].id < all[j].id
-		})
+		for i := n - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			all[i], all[j] = all[j], all[i]
+		}
+		for _, c := range all {
+			h.Push(c.ID, c.Dist)
+		}
+		sort.Slice(all, func(i, j int) bool { return Less(all[i], all[j]) })
 		got := h.Sorted()
-		want := k
-		if n < k {
-			want = n
-		}
-		if len(got) != want {
+		if len(got) != min(k, n) {
 			return false
 		}
 		for i := range got {
-			if got[i].ID != all[i].id || got[i].Dist != all[i].d {
+			if got[i] != all[i] {
 				return false
 			}
 		}

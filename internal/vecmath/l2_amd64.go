@@ -1,3 +1,5 @@
+//go:build !purego
+
 package vecmath
 
 // l2RowsSSE is the SSE kernel in l2_amd64.s. Each row keeps one XMM

@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // HSUM leaves ((s0+s1)+s2)+s3 of the four lanes of X in its low lane,
